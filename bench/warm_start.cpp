@@ -98,8 +98,8 @@ Leg runLeg(RunConfig Config) {
   L.WarmupCycles = V.WarmupCycles;
   L.SteadyReached = V.Reached;
   L.OptCompileCycles = R.OptCompileCycles;
-  L.WarmApplied = R.WarmStartApplied;
-  L.WarmDropped = R.WarmStartDropped;
+  L.WarmApplied = R.WarmStart.applied();
+  L.WarmDropped = R.WarmStart.dropped();
   L.DecayDropped = R.DecayEntriesDropped;
   L.Deopts = R.Deopts;
   return L;

@@ -15,60 +15,58 @@
 //                   the training and production runs" vulnerability the
 //                   paper attributes to offline systems.
 //
+// A training run saves its AOS decision state as a v2 profile
+// (RunConfig::CaptureProfile, docs/profile-format.md); the production
+// run parses that text and warm-starts from it (RunConfig::WarmStart).
+//
 //===----------------------------------------------------------------------===//
 
-#include "core/AdaptiveSystem.h"
+#include "harness/Experiment.h"
 #include "profile/ProfileIo.h"
-#include "workload/Workload.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace aoci;
 
 namespace {
 
-/// Runs jbb under fixed(2) and returns the final DCG serialized.
-/// \p TrainScale < full truncates training to the NewOrder-heavy phase.
-std::string trainProfile(double TrainScale) {
-  WorkloadParams Params;
-  Params.Scale = TrainScale;
-  Workload W = makeWorkload("SPECjbb2000", Params);
-  VirtualMachine VM(W.Prog);
-  auto Policy = makePolicy(PolicyKind::Fixed, 2);
-  AdaptiveSystem Aos(VM, *Policy);
-  Aos.attach();
-  for (MethodId Entry : W.Entries)
-    VM.addThread(Entry);
-  VM.run();
-  return serializeProfile(W.Prog, Aos.dcg());
+RunConfig jbbFixed2(double Scale) {
+  RunConfig Config;
+  Config.WorkloadName = "SPECjbb2000";
+  Config.Params.Scale = Scale;
+  Config.Policy = PolicyKind::Fixed;
+  Config.MaxDepth = 2;
+  return Config;
 }
 
-uint64_t runProduction(const std::string &TrainingProfile,
-                       const char *Label) {
-  Workload W = makeWorkload("SPECjbb2000", WorkloadParams{});
-  VirtualMachine VM(W.Prog);
-  auto Policy = makePolicy(PolicyKind::Fixed, 2);
-  AdaptiveSystem Aos(VM, *Policy);
-  if (!TrainingProfile.empty()) {
-    DynamicCallGraph Training;
-    std::string Error;
-    if (!deserializeProfile(W.Prog, TrainingProfile, Training, Error)) {
-      std::fprintf(stderr, "profile replay failed: %s\n", Error.c_str());
-      return 0;
-    }
-    Aos.seedProfile(Training);
+/// Runs jbb under fixed(2) and returns its v2 profile, parsed back from
+/// text as a later process would read it. \p TrainScale < full truncates
+/// training to the NewOrder-heavy phase.
+std::shared_ptr<const ProfileData> trainProfile(double TrainScale) {
+  RunConfig Config = jbbFixed2(TrainScale);
+  Config.CaptureProfile = true;
+  const RunResult R = runExperiment(Config);
+  auto Profile = std::make_shared<ProfileData>();
+  std::string Error;
+  if (!parseProfile(R.CapturedProfile, *Profile, Error)) {
+    std::fprintf(stderr, "profile replay failed: %s\n", Error.c_str());
+    std::exit(1);
   }
-  Aos.attach();
-  for (MethodId Entry : W.Entries)
-    VM.addThread(Entry);
-  VM.run();
+  return Profile;
+}
+
+uint64_t runProduction(std::shared_ptr<const ProfileData> Training,
+                       const char *Label) {
+  RunConfig Config = jbbFixed2(1.0);
+  Config.WarmStart = std::move(Training);
+  const RunResult R = runExperiment(Config);
   std::printf("  %-12s %12llu cycles, %llu optimizing compilations, "
               "%llu guard fallbacks\n",
-              Label, static_cast<unsigned long long>(VM.cycles()),
-              static_cast<unsigned long long>(Aos.stats().OptCompilations),
-              static_cast<unsigned long long>(
-                  VM.counters().GuardFallbacks));
-  return VM.cycles();
+              Label, static_cast<unsigned long long>(R.WallCycles),
+              static_cast<unsigned long long>(R.OptCompilations),
+              static_cast<unsigned long long>(R.GuardFallbacks));
+  return R.WallCycles;
 }
 
 } // namespace
@@ -78,13 +76,13 @@ int main() {
               "inlining\n\n");
 
   std::printf("training (full run, both phases)...\n");
-  std::string FullProfile = trainProfile(1.0);
+  auto FullProfile = trainProfile(1.0);
   std::printf("training (truncated: phase-1 behaviour only)...\n");
   // A short training run never reaches the Payment-heavy phase.
-  std::string Phase1Profile = trainProfile(0.2);
+  auto Phase1Profile = trainProfile(0.2);
 
   std::printf("\nproduction runs:\n");
-  uint64_t Online = runProduction("", "online");
+  uint64_t Online = runProduction(nullptr, "online");
   uint64_t OfflineOk = runProduction(FullProfile, "offline-ok");
   uint64_t OfflineBad = runProduction(Phase1Profile, "offline-bad");
 

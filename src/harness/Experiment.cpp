@@ -8,6 +8,7 @@
 #include "harness/Experiment.h"
 
 #include "harness/SteadyState.h"
+#include "opt/PlanPrinter.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
@@ -65,6 +66,7 @@ RunResult aoci::runExperiment(const RunConfig &Config) {
   R.ProgramResult = VM.threads().front()->Result.asInt();
   R.OsrEntries = Aos.osrStats().OsrEntries;
   R.Deopts = Aos.osrStats().Deopts;
+  R.DeoptFramesRemapped = Aos.osrStats().DeoptFramesRemapped;
   R.OsrTransitionCycles = Aos.osrStats().TransitionCyclesCharged;
   R.OsrCyclesRecovered = Aos.osrStats().CyclesRecoveredEstimate;
   R.LiveCodeBytes = VM.codeManager().liveCodeBytes();
@@ -74,6 +76,7 @@ RunResult aoci::runExperiment(const RunConfig &Config) {
   R.FusedRuns = VM.codeManager().fusedRunsInstalled();
   R.FusedOps = VM.codeManager().fusedOpsTotal();
   R.FusedBytes = VM.codeManager().fusedBytesTotal();
+  R.FusedBatchesExecuted = VM.counters().FusedRunsExecuted;
   R.ShareHits = Aos.stats().ShareHits;
   R.SharePublishes = Aos.stats().SharePublishes;
   R.ShareCyclesSaved = Aos.stats().ShareCyclesSaved;
@@ -84,12 +87,16 @@ RunResult aoci::runExperiment(const RunConfig &Config) {
   R.BudgetCandidatesPruned = Aos.stats().BudgetCandidatesPruned;
   R.EstimateErrorPct = Aos.calibration().meanAbsErrorPct();
   R.WarmStarted = Config.WarmStart != nullptr;
-  R.WarmStartApplied = Warm.applied();
-  R.WarmStartDropped = Warm.dropped();
+  R.WarmStart = Warm;
   R.DecayEntriesDropped = Aos.stats().DecayEntriesDropped;
   if (Config.CaptureProfile)
     R.CapturedProfile =
         serializeProfileData(Aos.snapshotProfile(W.Name));
+  if (Config.CapturePlans)
+    for (const auto &V : VM.codeManager().allVariants())
+      if (V->Level != OptLevel::Baseline &&
+          VM.codeManager().current(V->M) == V.get())
+        R.Plans += describeVariant(W.Prog, *V);
 
   R.ClassesLoaded = W.Prog.numClasses();
   for (MethodId M = 0; M != W.Prog.numMethods(); ++M) {
@@ -285,8 +292,8 @@ RunMetrics makeMetrics(const PlannedRun &Run, const RunResult &Result,
   M.FusedOps = Result.FusedOps;
   M.FusedBytes = Result.FusedBytes;
   M.WarmStarted = Result.WarmStarted;
-  M.WarmApplied = Result.WarmStartApplied;
-  M.WarmDropped = Result.WarmStartDropped;
+  M.WarmApplied = Result.WarmStart.applied();
+  M.WarmDropped = Result.WarmStart.dropped();
   M.OptCompileCycles = Result.OptCompileCycles;
   M.ShareHits = Result.ShareHits;
   M.SharePublishes = Result.SharePublishes;

@@ -70,6 +70,10 @@ struct RunConfig {
   /// after the run (`--profile-out`). Pure post-run observation: the run
   /// itself is byte-identical with this on or off.
   bool CaptureProfile = false;
+  /// Describe every installed optimized variant's inline plan into
+  /// RunResult::Plans after the run (`aoci run --plans`). Pure post-run
+  /// observation, like CaptureProfile.
+  bool CapturePlans = false;
 };
 
 /// Everything measured in one run.
@@ -104,6 +108,7 @@ struct RunResult {
   /// CLI run report.
   uint64_t OsrEntries = 0;
   uint64_t Deopts = 0;
+  uint64_t DeoptFramesRemapped = 0;
   uint64_t OsrTransitionCycles = 0;
   uint64_t OsrCyclesRecovered = 0;
 
@@ -125,6 +130,9 @@ struct RunResult {
   uint64_t FusedRuns = 0;
   uint64_t FusedOps = 0;
   uint64_t FusedBytes = 0;
+  /// Fused batches the interpreter executed
+  /// (ExecutionCounters::FusedRunsExecuted).
+  uint64_t FusedBatchesExecuted = 0;
 
   /// Shared-code-cache activity (all zero without a CodeShareClient,
   /// i.e. outside serve mode — see src/share/ and harness/Serve.h).
@@ -152,14 +160,13 @@ struct RunResult {
   double EstimateErrorPct = 0.0;
 
   /// Warm-start provenance (all zero/false on a cold start, i.e. without
-  /// RunConfig::WarmStart). Applied/Dropped aggregate every profile
-  /// section (traces, decisions, hot methods, refusals); a large Dropped
-  /// count is the signature of a stale profile. Kept out of the frozen
-  /// grid CSV; the metrics CSV carries them
-  /// (`warm_start,warm_applied,warm_dropped`).
+  /// RunConfig::WarmStart), per profile section; WarmStart.applied() and
+  /// .dropped() aggregate them, and a large dropped() count is the
+  /// signature of a stale profile. Kept out of the frozen grid CSV; the
+  /// metrics CSV carries the totals (`warm_start,warm_applied,
+  /// warm_dropped`).
   bool WarmStarted = false;
-  uint64_t WarmStartApplied = 0;
-  uint64_t WarmStartDropped = 0;
+  WarmStartStats WarmStart;
   /// DCG entries the decay organizer dropped below the retention
   /// threshold (AosStats::DecayEntriesDropped). Surfaced here because a
   /// stale warm start must visibly fade out through decay — the
@@ -169,6 +176,9 @@ struct RunResult {
   /// RunConfig::CaptureProfile is set; empty otherwise. runBestOf keeps
   /// the best trial's snapshot, matching every other reported field.
   std::string CapturedProfile;
+  /// The installed optimized variants' plans (describeVariant() text)
+  /// when RunConfig::CapturePlans is set; empty otherwise.
+  std::string Plans;
 
   /// Table 1 characteristics: classes in the program, methods and
   /// bytecodes dynamically compiled (i.e. actually executed at least

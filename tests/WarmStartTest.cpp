@@ -119,8 +119,8 @@ TEST(WarmStartTest, WarmRunIsDeterministic) {
   const RunResult B = runExperiment(Warm);
   EXPECT_EQ(A.WallCycles, B.WallCycles);
   EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.WarmStartApplied, B.WarmStartApplied);
-  EXPECT_GT(A.WarmStartApplied, 0u);
+  EXPECT_EQ(A.WarmStart.applied(), B.WarmStart.applied());
+  EXPECT_GT(A.WarmStart.applied(), 0u);
   EXPECT_TRUE(A.WarmStarted);
 }
 
@@ -187,7 +187,7 @@ TEST(WarmStartTest, StaleProfileDegradesGracefully) {
   const RunResult StaleR = runExperiment(Prod);
 
   EXPECT_EQ(StaleR.ProgramResult, ColdR.ProgramResult);
-  EXPECT_GT(StaleR.WarmStartApplied, 0u)
+  EXPECT_GT(StaleR.WarmStart.applied(), 0u)
       << "workload method names are seed-independent, so entries resolve";
   EXPECT_GT(StaleR.DecayEntriesDropped, 0u)
       << "stale DCG weight must fade out through the decay organizer";
@@ -213,8 +213,9 @@ TEST(WarmStartTest, ProfileLoadEventEmittedOnceAndUncharged) {
       ++Loads;
       EXPECT_EQ(static_cast<unsigned>(E.A), ProfileFormatVersion);
       EXPECT_EQ(static_cast<uint64_t>(E.B + E.C + E.D + E.E),
-                TracedR.WarmStartApplied);
-      EXPECT_DOUBLE_EQ(E.X, static_cast<double>(TracedR.WarmStartDropped));
+                TracedR.WarmStart.applied());
+      EXPECT_DOUBLE_EQ(E.X,
+                       static_cast<double>(TracedR.WarmStart.dropped()));
     }
   EXPECT_EQ(Loads, 1u);
 }

@@ -3,21 +3,11 @@
 // Part of the AOCI project: a reproduction of "Adaptive Online
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
 //
-// A single driver over the whole library:
-//
-//   aoci list
-//   aoci table1
-//   aoci run <workload> [--policy P] [--depth N] [--scale X] [--seed N]
-//            [--plans] [--trace-stats] [--save-profile F] [--load-profile F]
-//   aoci grid [--workloads a,b] [--policies p,q] [--depths 2,3]
-//             [--scale X] [--trials N] [--jobs N] [--csv FILE]
-//             [--metrics-csv FILE] [--metrics]
-//             [--trace-out FILE] [--trace-filter kinds]
-//             [--report fig4|fig5|fig6|compile|summary|all]
-//   aoci trace <workload> [--trace-out FILE] [--trace-filter kinds]
-//              [--policy P] [--depth N] [--scale X] [--seed N]
-//              [--trials N] [--max-events N]
-//   aoci disasm <workload> [method-qualified-name]
+// A single driver over the whole library; `aoci` alone prints the usage.
+// Every flag is declared once, in the Flags table below: its name, value
+// syntax, the subcommands that accept it, and a checked parser that
+// writes the value into the subcommand's own default config. The same
+// table generates the usage synopses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +18,6 @@
 #include "harness/Reporters.h"
 #include "harness/Serve.h"
 #include "harness/SteadyState.h"
-#include "opt/PlanPrinter.h"
 #include "profile/ProfileIo.h"
 #include "support/StringUtils.h"
 #include "trace/TraceJson.h"
@@ -45,328 +34,464 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <sstream>
 
 using namespace aoci;
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  aoci list\n"
-      "  aoci table1\n"
-      "  aoci run <workload> [--policy P] [--depth N] [--scale X]\n"
-      "           [--seed N] [--osr on|off] [--code-cache BYTES]\n"
-      "           [--fuse on|off|level=N] [--plans] [--trace-stats]\n"
-      "           [--organizer threshold|budget] [budget knobs]\n"
-      "           [--profile-out FILE] [--warm-start FILE]\n"
-      "           [--save-profile FILE] [--load-profile FILE]\n"
-      "  aoci grid [--workloads a,b] [--policies p,q] [--depths 2,3]\n"
-      "            [--scale X] [--trials N] [--jobs N] [--osr on|off]\n"
-      "            [--code-cache BYTES] [--fuse on|off|level=N]\n"
-      "            [--organizer threshold|budget] [budget knobs]\n"
-      "            [--csv FILE] [--metrics-csv FILE] [--metrics]\n"
-      "            [--trace-out FILE] [--trace-filter kinds]\n"
-      "            [--profile-out DIR] [--warm-start FILE]\n"
-      "            [--report fig4|fig5|fig6|compile|summary|all]\n"
-      "  aoci trace <workload> [--trace-out FILE] [--trace-filter kinds]\n"
-      "             [--policy P] [--depth N] [--scale X] [--seed N]\n"
-      "             [--trials N] [--max-events N] [--osr on|off]\n"
-      "             [--code-cache BYTES] [--fuse on|off|level=N]\n"
-      "             [--organizer threshold|budget] [budget knobs]\n"
-      "             [--profile-out FILE] [--warm-start FILE]\n"
-      "  aoci disasm <workload> [method]\n"
-      "  aoci fuzz [--seed N] [--budget N] [--policy-a P] [--depth-a N]\n"
-      "            [--policy-b P] [--depth-b N] [--threshold PCT]\n"
-      "            [--scale X] [--workload-seed N] [--code-cache BYTES]\n"
-      "            [--osr on|off] [--fuse on|off|level=N] [--max-diffs N]\n"
-      "            [--out DIR] [--known DIR]\n"
-      "  aoci replay <file.scn>\n"
-      "  aoci steady [--workloads a,b] [--policy P] [--depth N]\n"
-      "              [--scale X] [--seed N] [--trials N] [--osr on|off]\n"
-      "              [--code-cache BYTES] [--fuse on|off|level=N]\n"
-      "              [--json FILE]\n"
-      "  aoci serve --tenants a[:N],b[:N] [--policy P] [--depth N]\n"
-      "             [--scale X] [--seed N] [--slice CYCLES] [--stagger N]\n"
-      "             [--share-cache BYTES|off] [--code-cache BYTES]\n"
-      "             [--osr on|off] [--fuse on|off|level=N] [--jobs N]\n"
-      "             [--organizer threshold|budget] [budget knobs]\n"
-      "             [--csv FILE] [--trace-out FILE] [--trace-filter kinds]\n"
-      "             [--warm-start FILE]\n"
-      "policies: cins fixed paramLess class large hybrid1 hybrid2 "
-      "imprecision\n"
-      "workloads: Table 1 names plus the built-in adversarial scenarios\n"
-      "  (scn-megamorphic-storm, scn-phase-flip, scn-alloc-burst,\n"
-      "  scn-cache-churn)\n"
-      "fuzz: searches seeded scenario mutations for runs where policy A\n"
-      "  beats policy B by more than the threshold; shrinks each finding\n"
-      "  and writes replayable .scn reproducers (--out). With --known DIR\n"
-      "  the exit status is 1 iff a differential not in DIR was found.\n"
-      "steady: runs each workload traced and reports the warmup/steady\n"
-      "  split; exit status is 1 unless every run reached steady state.\n"
-      "serve: runs the tenant sessions concurrently against one\n"
-      "  process-wide shared code cache (variants keyed by method +\n"
-      "  inline-plan fingerprint + opt level); a hit charges only the\n"
-      "  link cost. Deterministic for any --jobs. --share-cache bounds\n"
-      "  the shared index (off disables sharing entirely); --stagger\n"
-      "  offsets session start rounds; --slice sets the per-round cycle\n"
-      "  slice. OSR defaults ON in serve so shared evictions can deopt\n"
-      "  live sessions.\n"
-      "--osr: transfer live activations onto replacement code at loop\n"
-      "  backedges (on-stack replacement + deoptimization); default off\n"
-      "--organizer: how inlining rules are codified from the DCG.\n"
-      "  'threshold' (default) is the paper's 1.5%% hot-trace organizer;\n"
-      "  'budget' prices candidates with measured compiled sizes (falling\n"
-      "  back to a self-calibrating estimate for never-compiled callees)\n"
-      "  under per-caller inflation and global exploration budgets.\n"
-      "  Budget knobs: --budget-inflation F (per-caller budget = caller\n"
-      "  units x F + slack; default 2.5), --budget-slack U (default 80),\n"
-      "  --budget-explore U (per-wakeup pool for estimate-priced\n"
-      "  candidates; default 600), --budget-min-weight W (candidate noise\n"
-      "  floor; default 1.5). Emits uncharged budget-decision trace events.\n"
-      "--code-cache: bound total installed code bytes; victims are chosen\n"
-      "  deterministically (least-recently-invoked by simulated cycle) and\n"
-      "  live activations deoptimize first; 0 (default) = unbounded\n"
-      "--profile-out: save the run's full AOS decision state (DCG trace\n"
-      "  weights, hot-method samples, inline decisions and refusals) as a\n"
-      "  versioned v2 profile; see docs/profile-format.md. On grid, DIR\n"
-      "  receives one .prof per run\n"
-      "--warm-start: re-seed the adaptive system from a v2 profile before\n"
-      "  the run; stale entries are dropped and counted, never fatal.\n"
-      "  (--save-profile/--load-profile are the legacy bare-DCG v1 pair)\n"
-      "--fuse: superinstruction fusion — lower straight-line runs of hot\n"
-      "  method bodies into batched handlers at install time. Host-side\n"
-      "  only: simulated cycles are bit-identical on or off. 'on' fuses\n"
-      "  optimized code (opt level >= 1), 'level=N' fuses at opt level >= N\n"
-      "  (level=0 includes baseline code); default off\n"
-      "trace kinds: comma-separated event names (see OBSERVABILITY.md), "
-      "e.g.\n"
-      "  --trace-filter sample,controller-decision,compile-complete\n");
-  return 1;
+/// The subcommands that take flags, as bits of a flag's accepting set.
+enum CommandBit : unsigned {
+  CmdRun = 1u << 0,
+  CmdGrid = 1u << 1,
+  CmdTrace = 1u << 2,
+  CmdFuzz = 1u << 3,
+  CmdSteady = 1u << 4,
+  CmdServe = 1u << 5,
+};
+constexpr unsigned CmdAll = (CmdServe << 1) - 1;
+/// The commands that run the adaptive system with a chosen organizer.
+constexpr unsigned CmdAos = CmdRun | CmdGrid | CmdTrace | CmdServe;
+/// The commands that take a --policy/--depth pair.
+constexpr unsigned CmdPolicy = CmdRun | CmdTrace | CmdSteady | CmdServe;
+
+/// One command line, parsed: the command's own default config, which the
+/// flags edit in place, plus the driver-level settings.
+struct Options {
+  explicit Options(unsigned Command);
+  /// The binding pointers below point into this object.
+  Options(const Options &) = delete;
+  Options &operator=(const Options &) = delete;
+
+  /// The command's config: Run serves run, trace and steady; the others
+  /// serve their namesakes. Each keeps its own defaults (ServeConfig and
+  /// FuzzConfig turn OSR on, for instance).
+  RunConfig Run;
+  GridConfig Grid;
+  ServeConfig Serve;
+  FuzzConfig Fuzz;
+  /// The fields the configs share, bound to the command's config.
+  WorkloadParams *Params = &Run.Params;
+  AosSystemConfig *Aos = &Run.Aos;
+  CostModel *Model = &Run.Model;
+  PolicyKind *Policy = &Run.Policy;
+  unsigned *Depth = &Run.MaxDepth;
+  std::shared_ptr<const ProfileData> *WarmStart = &Run.WarmStart;
+
+  std::vector<std::string> Operands;
+  std::vector<std::string> Workloads = workloadNames();
+  unsigned Trials = 1;
+  /// 0 lets runGridParallel pick hardware_concurrency; serve defaults
+  /// to 1. Results are byte-identical for every job count.
+  unsigned Jobs = 0;
+  uint64_t MaxEvents = 0;
+  uint32_t TraceMask = TraceAllKinds;
+  std::string TraceFilter, TraceOut, ProfileOut, Csv, MetricsCsv, JsonOut,
+      OutDir, KnownDir;
+  std::string Report = "all";
+  bool Plans = false, TraceStats = false, ShowMetrics = false;
+  /// Each flag given so far, with its value: a repeat is an error.
+  std::map<std::string, std::string> Seen;
+};
+
+Options::Options(unsigned Command) {
+  auto bind = [this](auto &Config) {
+    Params = &Config.Params;
+    Aos = &Config.Aos;
+    Model = &Config.Model;
+  };
+  if (Command == CmdGrid) {
+    bind(Grid);
+    WarmStart = &Grid.WarmStart;
+  } else if (Command == CmdFuzz) {
+    bind(Fuzz);
+  } else if (Command == CmdServe) {
+    bind(Serve);
+    Policy = &Serve.Policy;
+    Depth = &Serve.MaxDepth;
+    WarmStart = &Serve.WarmStart;
+    Jobs = 1;
+  }
 }
 
-bool parsePolicy(const std::string &Name, PolicyKind &Kind) {
-  return parsePolicyKind(Name, Kind);
+//===----------------------------------------------------------------------===//
+// Checked value parsers. Each reports a diagnostic naming the flag and
+// the offending value to stderr and returns false on bad input.
+//===----------------------------------------------------------------------===//
+
+bool reject(const char *Flag, const char *Expected, const std::string &Value) {
+  std::fprintf(stderr, "%s takes %s, not '%s'\n", Flag, Expected,
+               Value.c_str());
+  return false;
 }
 
-/// True when \p Name is runnable: a Table 1 workload or a built-in
-/// adversarial scenario.
-bool knownWorkload(const std::string &Name) {
-  for (const std::string &W : workloadNames())
-    if (W == Name)
-      return true;
-  return findBuiltinScenario(Name) != nullptr;
-}
-
-/// Checked unsigned decimal parse for flag values. std::atoi silently
-/// turned garbage into 0, negatives into huge unsigneds after the cast,
-/// and overflow into undefined behavior; this rejects all three with an
-/// error naming the flag. Requires the whole value to be digits (no
-/// sign, no whitespace, no trailing junk) and at most \p Max.
-bool parseUnsigned(const char *Flag, const std::string &Value, uint64_t Max,
-                   uint64_t &Out) {
+/// Whole-token unsigned decimal in [Min, Max]: no sign, whitespace or
+/// trailing junk, no overflow.
+bool toUnsigned(const std::string &Value, uint64_t Min, uint64_t Max,
+                uint64_t &Out) {
   bool Valid = !Value.empty();
   for (char C : Value)
     Valid &= std::isdigit(static_cast<unsigned char>(C)) != 0;
   errno = 0;
-  char *End = nullptr;
   const unsigned long long V =
-      Valid ? std::strtoull(Value.c_str(), &End, 10) : 0;
-  if (!Valid || errno == ERANGE || V > Max) {
-    std::fprintf(stderr,
-                 "%s expects an unsigned integer no larger than %llu, "
-                 "got '%s'\n",
-                 Flag, static_cast<unsigned long long>(Max), Value.c_str());
+      Valid ? std::strtoull(Value.c_str(), nullptr, 10) : 0;
+  if (!Valid || errno == ERANGE || V < Min || V > Max)
     return false;
-  }
   Out = V;
   return true;
 }
 
-/// parseUnsigned into an `unsigned`-typed destination.
-bool parseUnsigned32(const char *Flag, const std::string &Value,
-                     unsigned &Out) {
+/// toUnsigned over the range of \p Out's type, starting at \p Min.
+template <typename T>
+bool parseCount(const char *Flag, const std::string &Value, T &Out,
+                T Min = 0) {
   uint64_t V = 0;
-  if (!parseUnsigned(Flag, Value, std::numeric_limits<unsigned>::max(), V))
+  const uint64_t Max = std::numeric_limits<T>::max();
+  if (!toUnsigned(Value, Min, Max, V)) {
+    std::fprintf(stderr, "%s expects an integer from %llu to %llu, got '%s'\n",
+                 Flag, static_cast<unsigned long long>(Min),
+                 static_cast<unsigned long long>(Max), Value.c_str());
     return false;
-  Out = static_cast<unsigned>(V);
+  }
+  Out = static_cast<T>(V);
   return true;
 }
 
-/// Parses an `--osr on|off` value.
-bool parseOsr(const std::string &Value, bool &Enabled) {
-  if (Value == "on")
-    Enabled = true;
-  else if (Value == "off")
-    Enabled = false;
-  else {
-    std::fprintf(stderr, "--osr takes 'on' or 'off', not '%s'\n",
-                 Value.c_str());
+/// The lower bound a real-valued flag enforces.
+enum class Floor { None, NonNegative, Positive };
+
+/// Whole-token finite real number respecting \p Bound.
+bool parseReal(const char *Flag, const std::string &Value, Floor Bound,
+               double &Out) {
+  char *End = nullptr;
+  const double X = std::strtod(Value.c_str(), &End);
+  bool Valid = !Value.empty() &&
+               !std::isspace(static_cast<unsigned char>(Value[0])) &&
+               End == Value.c_str() + Value.size() && std::isfinite(X);
+  if (Bound == Floor::NonNegative)
+    Valid &= X >= 0;
+  if (Bound == Floor::Positive)
+    Valid &= X > 0;
+  if (!Valid) {
+    static const char *const Kind[] = {"a finite", "a finite non-negative",
+                                       "a finite positive"};
+    std::fprintf(stderr, "%s expects %s number, got '%s'\n", Flag,
+                 Kind[static_cast<int>(Bound)], Value.c_str());
     return false;
   }
+  Out = X;
   return true;
 }
 
-/// Parses a `--fuse on|off|level=N` value into the cost model's fusion
-/// knobs. level=N reuses the checked integer parser, so garbage, signs
-/// and out-of-range opt levels are rejected with an error, not cast.
-bool parseFuse(const std::string &Value, FuseConfig &Fuse) {
-  if (Value == "on") {
-    Fuse.Enabled = true;
-    return true;
-  }
-  if (Value == "off") {
-    Fuse.Enabled = false;
-    return true;
-  }
-  if (Value.rfind("level=", 0) == 0) {
-    uint64_t Level = 0;
-    if (!parseUnsigned("--fuse level", Value.substr(6), NumOptLevels - 1,
-                       Level))
-      return false;
+bool parseOnOff(const char *Flag, const std::string &Value, bool &On) {
+  if (Value != "on" && Value != "off")
+    return reject(Flag, "'on' or 'off'", Value);
+  On = Value == "on";
+  return true;
+}
+
+/// `on|off|level=N`: fusion on optimized code, off, or from opt level N.
+bool parseFuse(const char *Flag, const std::string &Value, FuseConfig &Fuse) {
+  uint64_t Level = 0;
+  if (Value == "on" || Value == "off") {
+    Fuse.Enabled = Value == "on";
+  } else if (Value.rfind("level=", 0) == 0 &&
+             toUnsigned(Value.substr(6), 0, NumOptLevels - 1, Level)) {
     Fuse.Enabled = true;
     Fuse.MinLevel = static_cast<uint8_t>(Level);
-    return true;
+  } else {
+    const std::string Expected =
+        "'on', 'off' or 'level=N' with N from 0 to " +
+        std::to_string(NumOptLevels - 1);
+    return reject(Flag, Expected.c_str(), Value);
   }
-  std::fprintf(stderr, "--fuse takes 'on', 'off' or 'level=N', not '%s'\n",
-               Value.c_str());
-  return false;
+  return true;
 }
 
-std::vector<std::string> splitList(const std::string &Text) {
-  std::vector<std::string> Out;
-  std::stringstream In(Text);
-  std::string Item;
-  while (std::getline(In, Item, ','))
-    if (!Item.empty())
-      Out.push_back(Item);
-  return Out;
+/// Reports a library parser's \p Error under \p Context unless \p Ok.
+bool check(bool Ok, const std::string &Context, const std::string &Error) {
+  if (!Ok)
+    std::fprintf(stderr, "%s: %s\n", Context.c_str(), Error.c_str());
+  return Ok;
 }
 
-/// Simple flag cursor over argv.
-struct Args {
-  int Argc;
-  char **Argv;
-  int Pos = 2;
-
-  /// Returns the value of --Flag when present at the cursor.
-  bool flag(const char *Flag, std::string &Value) {
-    if (Pos + 1 < Argc && std::strcmp(Argv[Pos], Flag) == 0) {
-      Value = Argv[Pos + 1];
-      Pos += 2;
-      return true;
-    }
-    return false;
-  }
-
-  bool boolFlag(const char *Flag) {
-    if (Pos < Argc && std::strcmp(Argv[Pos], Flag) == 0) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool done() const { return Pos >= Argc; }
-};
-
-/// Parses an `--organizer threshold|budget` value.
-bool parseOrganizer(const std::string &Value, InlineOrganizerKind &Kind) {
-  if (Value == "threshold") {
-    Kind = InlineOrganizerKind::Threshold;
-    return true;
-  }
-  if (Value == "budget") {
-    Kind = InlineOrganizerKind::Budget;
-    return true;
-  }
-  std::fprintf(stderr, "--organizer takes 'threshold' or 'budget', not '%s'\n",
-               Value.c_str());
-  return false;
+bool parsePolicy(const char *Flag, const std::string &Value,
+                 PolicyKind &Out) {
+  return check(parsePolicyKind(Value, Out), Flag,
+               "unknown policy '" + Value + "'");
 }
 
-/// Handles the organizer/budget flags shared by run, grid, trace, and
-/// serve. Returns 0 when the cursor is not at one of them, 1 when one
-/// parsed, -1 on a parse error (already reported to stderr).
-int tryOrganizerFlags(Args &A, AosSystemConfig &Aos) {
-  std::string Value;
-  if (A.flag("--organizer", Value))
-    return parseOrganizer(Value, Aos.Organizer) ? 1 : -1;
-  if (A.flag("--budget-inflation", Value)) {
-    const double X = std::atof(Value.c_str());
-    if (X <= 0) {
-      std::fprintf(stderr,
-                   "--budget-inflation takes a positive factor, not '%s'\n",
-                   Value.c_str());
-      return -1;
-    }
-    Aos.Budget.InflationFactor = X;
-    return 1;
+/// True when \p Name is runnable: a Table 1 workload or a built-in
+/// adversarial scenario. \p Context names the flag or command.
+bool checkWorkload(const char *Context, const std::string &Name) {
+  const std::vector<std::string> &Names = workloadNames();
+  return check(std::find(Names.begin(), Names.end(), Name) != Names.end() ||
+                   findBuiltinScenario(Name),
+               Context, "unknown workload '" + Name + "'");
+}
+
+/// A non-empty comma-separated list, each item checked by \p ParseItem.
+template <typename T, typename Fn>
+bool parseList(const char *Flag, const std::string &Value,
+               std::vector<T> &Out, Fn ParseItem) {
+  std::vector<T> Items;
+  std::stringstream In(Value);
+  for (std::string Text; std::getline(In, Text, ',');) {
+    if (Text.empty())
+      continue;
+    T Item{};
+    if (!ParseItem(Text, Item))
+      return false;
+    Items.push_back(Item);
   }
-  if (A.flag("--budget-slack", Value))
-    return parseUnsigned("--budget-slack", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Aos.Budget.SlackUnits)
-               ? 1
-               : -1;
-  if (A.flag("--budget-explore", Value))
-    return parseUnsigned("--budget-explore", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Aos.Budget.ExplorationUnits)
-               ? 1
-               : -1;
-  if (A.flag("--budget-min-weight", Value)) {
-    const double X = std::atof(Value.c_str());
-    if (X < 0) {
-      std::fprintf(stderr,
-                   "--budget-min-weight takes a non-negative weight, "
-                   "not '%s'\n",
-                   Value.c_str());
-      return -1;
-    }
-    Aos.Budget.MinCandidateWeight = X;
-    return 1;
-  }
-  return 0;
+  if (Items.empty())
+    return reject(Flag, "a comma-separated list", Value);
+  Out = std::move(Items);
+  return true;
+}
+
+/// Reads all of \p Path into \p Text; \p Context names the flag or
+/// command in the diagnostic.
+bool readFile(const std::string &Context, const std::string &Path,
+              std::string &Text) {
+  std::ifstream In(Path);
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  Text = Buffer.str();
+  return check(static_cast<bool>(In), Context,
+               "cannot read '" + Path + "'");
 }
 
 /// Reads and parses a `--warm-start` v2 profile file. Parse warnings
 /// (unknown sections/keys under the forward-compat rules) go to stderr;
 /// errors carry the line/section/token diagnostic from parseProfile().
-std::shared_ptr<const ProfileData>
-loadWarmStartProfile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "cannot read '%s'\n", Path.c_str());
-    return nullptr;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
+bool loadWarmStart(const char *Flag, const std::string &Path,
+                   std::shared_ptr<const ProfileData> &Out) {
   auto Profile = std::make_shared<ProfileData>();
-  std::string Error;
-  if (!parseProfile(Buffer.str(), *Profile, Error)) {
-    std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
-    return nullptr;
-  }
+  std::string Text, Error;
+  if (!readFile(Flag, Path, Text) ||
+      !check(parseProfile(Text, *Profile, Error),
+             std::string(Flag) + ": '" + Path + "'", Error))
+    return false;
   for (const std::string &W : Profile->Warnings)
     std::fprintf(stderr, "%s: warning: %s\n", Path.c_str(), W.c_str());
-  return Profile;
+  Out = std::move(Profile);
+  return true;
 }
 
-/// Writes serialized profile bytes, reporting failures to stderr.
-bool writeProfileFile(const std::string &Path, const std::string &Bytes) {
+/// The grid reports, in print order (`--report all` prints each).
+using GridReportFn = std::string (*)(const GridResults &,
+                                     const std::vector<PolicyKind> &,
+                                     const std::vector<unsigned> &);
+const std::pair<const char *, GridReportFn> GridReports[] = {
+    {"fig4", reportFigure4},   {"fig5", reportFigure5},
+    {"compile", reportCompileTime}, {"fig6", reportFigure6},
+    {"summary", reportSummary},
+};
+
+//===----------------------------------------------------------------------===//
+// The flag table.
+//===----------------------------------------------------------------------===//
+
+/// One command-line flag, declared once.
+struct Flag {
+  const char *Name;
+  /// Value placeholder for the usage text; null for a switch.
+  const char *Syntax;
+  /// The commands that accept the flag (CommandBit mask).
+  unsigned Commands;
+  /// Checked parser writing into the command's Options; when null the
+  /// value is stored verbatim into Text.
+  bool (*Apply)(Options &O, const char *Flag, const std::string &Value);
+  std::string Options::*Text = nullptr;
+};
+
+const Flag Flags[] = {
+    {"--policy", "P", CmdPolicy,
+     [](auto &O, auto F, auto &V) { return parsePolicy(F, V, *O.Policy); }},
+    {"--depth", "N", CmdPolicy,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, *O.Depth, 1u); }},
+    {"--workloads", "a,b", CmdGrid | CmdSteady,
+     [](auto &O, auto F, auto &V) {
+       return parseList(F, V, O.Workloads, [F](auto &S, auto &Out) {
+         Out = S;
+         return checkWorkload(F, S);
+       });
+     }},
+    {"--policies", "p,q", CmdGrid,
+     [](auto &O, auto F, auto &V) {
+       return parseList(F, V, O.Grid.Policies, [F](auto &S, auto &Out) {
+         return parsePolicy(F, S, Out);
+       });
+     }},
+    {"--depths", "2,3", CmdGrid,
+     [](auto &O, auto F, auto &V) {
+       return parseList(F, V, O.Grid.Depths, [F](auto &S, auto &D) {
+         return parseCount(F, S, D, 1u);
+       });
+     }},
+    {"--tenants", "a[:N],b[:N]", CmdServe,
+     [](auto &O, auto F, auto &V) {
+       std::string Error;
+       return check(parseTenantList(V, O.Serve.Tenants, Error), F, Error);
+     }},
+    {"--scale", "X", CmdAll,
+     [](auto &O, auto F, auto &V) {
+       return parseReal(F, V, Floor::Positive, O.Params->Scale);
+     }},
+    {"--seed", "N", CmdPolicy,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Params->Seed); }},
+    {"--seed", "N", CmdFuzz,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Fuzz.Seed); }},
+    {"--trials", "N", CmdGrid | CmdTrace | CmdSteady,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Trials, 1u); }},
+    {"--jobs", "N", CmdGrid | CmdServe,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Jobs); }},
+    {"--osr", "on|off", CmdAll,
+     [](auto &O, auto F, auto &V) {
+       return parseOnOff(F, V, O.Aos->Osr.Enabled);
+     }},
+    {"--code-cache", "BYTES", CmdAll,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Model->CodeCache.CapacityBytes);
+     }},
+    {"--fuse", "on|off|level=N", CmdAll,
+     [](auto &O, auto F, auto &V) { return parseFuse(F, V, O.Model->Fuse); }},
+    {"--organizer", "threshold|budget", CmdAos,
+     [](auto &O, auto F, auto &V) {
+       if (V != "threshold" && V != "budget")
+         return reject(F, "'threshold' or 'budget'", V);
+       O.Aos->Organizer = V == "budget" ? InlineOrganizerKind::Budget
+                                        : InlineOrganizerKind::Threshold;
+       return true;
+     }},
+    {"--budget-inflation", "F", CmdAos,
+     [](auto &O, auto F, auto &V) {
+       return parseReal(F, V, Floor::Positive, O.Aos->Budget.InflationFactor);
+     }},
+    {"--budget-slack", "U", CmdAos,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Aos->Budget.SlackUnits);
+     }},
+    {"--budget-explore", "U", CmdAos,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Aos->Budget.ExplorationUnits);
+     }},
+    {"--budget-min-weight", "W", CmdAos,
+     [](auto &O, auto F, auto &V) {
+       return parseReal(F, V, Floor::NonNegative,
+                        O.Aos->Budget.MinCandidateWeight);
+     }},
+    {"--plans", nullptr, CmdRun,
+     [](auto &O, auto, auto &) { return O.Plans = true; }},
+    {"--trace-stats", nullptr, CmdRun,
+     [](auto &O, auto, auto &) { return O.TraceStats = true; }},
+    {"--profile-out", "FILE", CmdRun | CmdTrace, nullptr,
+     &Options::ProfileOut},
+    {"--profile-out", "DIR", CmdGrid, nullptr, &Options::ProfileOut},
+    {"--warm-start", "FILE", CmdAos,
+     [](auto &O, auto F, auto &V) {
+       return loadWarmStart(F, V, *O.WarmStart);
+     }},
+    {"--trace-out", "FILE", CmdGrid | CmdTrace | CmdServe, nullptr,
+     &Options::TraceOut},
+    {"--trace-filter", "kinds", CmdGrid | CmdTrace | CmdServe,
+     [](auto &O, auto F, auto &V) {
+       std::string Error;
+       O.TraceFilter = V;
+       return check(parseTraceFilter(V, O.TraceMask, Error), F, Error);
+     }},
+    {"--max-events", "N", CmdTrace,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, O.MaxEvents); }},
+    {"--csv", "FILE", CmdGrid | CmdServe, nullptr, &Options::Csv},
+    {"--metrics-csv", "FILE", CmdGrid, nullptr, &Options::MetricsCsv},
+    {"--metrics", nullptr, CmdGrid,
+     [](auto &O, auto, auto &) { return O.ShowMetrics = true; }},
+    {"--report", "fig4|fig5|fig6|compile|summary|all", CmdGrid,
+     [](auto &O, auto F, auto &V) {
+       bool Known = V == "all";
+       for (const auto &[Name, Fn] : GridReports)
+         Known |= V == Name;
+       if (!Known)
+         return reject(F, "fig4, fig5, fig6, compile, summary or all", V);
+       O.Report = V;
+       return true;
+     }},
+    {"--json", "FILE", CmdSteady, nullptr, &Options::JsonOut},
+    {"--budget", "N", CmdFuzz,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Fuzz.Budget); }},
+    {"--policy-a", "P", CmdFuzz,
+     [](auto &O, auto F, auto &V) {
+       return parsePolicy(F, V, O.Fuzz.PolicyA);
+     }},
+    {"--depth-a", "N", CmdFuzz,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Fuzz.DepthA, 1u);
+     }},
+    {"--policy-b", "P", CmdFuzz,
+     [](auto &O, auto F, auto &V) {
+       return parsePolicy(F, V, O.Fuzz.PolicyB);
+     }},
+    {"--depth-b", "N", CmdFuzz,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Fuzz.DepthB, 1u);
+     }},
+    {"--threshold", "PCT", CmdFuzz,
+     [](auto &O, auto F, auto &V) {
+       return parseReal(F, V, Floor::None, O.Fuzz.ThresholdPct);
+     }},
+    {"--workload-seed", "N", CmdFuzz,
+     [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Params->Seed); }},
+    {"--max-diffs", "N", CmdFuzz,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Fuzz.MaxDifferentials);
+     }},
+    {"--out", "DIR", CmdFuzz, nullptr, &Options::OutDir},
+    {"--known", "DIR", CmdFuzz, nullptr, &Options::KnownDir},
+    {"--slice", "CYCLES", CmdServe,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Serve.SliceCycles, uint64_t{1});
+     }},
+    {"--stagger", "N", CmdServe,
+     [](auto &O, auto F, auto &V) {
+       return parseCount(F, V, O.Serve.StaggerRounds);
+     }},
+    {"--share-cache", "BYTES|off", CmdServe,
+     [](auto &O, auto F, auto &V) {
+       O.Serve.ShareEnabled = V != "off";
+       O.Serve.ShareCapacityBytes = 0;
+       return V == "off" || parseCount(F, V, O.Serve.ShareCapacityBytes);
+     }},
+};
+
+//===----------------------------------------------------------------------===//
+// Subcommands.
+//===----------------------------------------------------------------------===//
+
+/// Writes \p Bytes to \p Path; names the file on stderr when \p What is
+/// given.
+bool writeFile(const std::string &Path, const std::string &Bytes,
+               const char *What = nullptr) {
   std::ofstream Out(Path, std::ios::binary);
   if (!Out) {
     std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
     return false;
   }
   Out << Bytes;
+  if (What)
+    std::fprintf(stderr, "%s written to %s\n", What, Path.c_str());
   return true;
 }
 
-int cmdList() {
+/// A counter as printf's %llu expects it.
+unsigned long long ull(uint64_t V) { return V; }
+
+void printProgress(const std::string &Line) {
+  std::fprintf(stderr, "%s\n", Line.c_str());
+}
+
+int cmdList(Options &) {
   for (const std::string &Name : workloadNames()) {
     Workload W = makeWorkload(Name, WorkloadParams{1, 0.01});
     std::printf("%-12s %s\n", Name.c_str(), W.Description.c_str());
@@ -379,7 +504,7 @@ int cmdList() {
   return 0;
 }
 
-int cmdTable1() {
+int cmdTable1(Options &) {
   std::vector<RunResult> Runs;
   for (const std::string &Name : workloadNames()) {
     RunConfig Config;
@@ -390,335 +515,98 @@ int cmdTable1() {
   return 0;
 }
 
-int cmdRun(int Argc, char **Argv) {
-  if (Argc < 3)
-    return usage();
-  std::string WorkloadName = Argv[2];
-  if (!knownWorkload(WorkloadName)) {
-    std::fprintf(stderr, "unknown workload '%s'\n", WorkloadName.c_str());
+int cmdRun(Options &O) {
+  RunConfig &Config = O.Run;
+  Config.WorkloadName = O.Operands[0];
+  if (!checkWorkload("run", Config.WorkloadName))
     return 1;
-  }
+  Config.CollectTraceStats = O.TraceStats;
+  Config.CapturePlans = O.Plans;
+  Config.CaptureProfile = !O.ProfileOut.empty();
+  const RunResult R = runExperiment(Config);
 
-  PolicyKind Kind = PolicyKind::ContextInsensitive;
-  unsigned Depth = 1;
-  WorkloadParams Params;
-  AosSystemConfig AosConfig;
-  CostModel Model;
-  bool ShowPlans = false, TraceStats = false;
-  std::string SaveProfile, LoadProfile;
-  std::string ProfileOut, WarmStartPath;
-
-  Args A{Argc, Argv};
-  A.Pos = 3;
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Kind)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-      if (Depth == 1 && Kind != PolicyKind::ContextInsensitive)
-        Depth = 4;
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Depth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      Params.Scale = std::atof(Value.c_str());
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(), Params.Seed))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--save-profile", Value)) {
-      SaveProfile = Value;
-    } else if (A.flag("--load-profile", Value)) {
-      LoadProfile = Value;
-    } else if (A.flag("--profile-out", Value)) {
-      ProfileOut = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, AosConfig.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Model.Fuse))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, AosConfig)) {
-      if (R < 0)
-        return 1;
-    } else if (A.boolFlag("--plans")) {
-      ShowPlans = true;
-    } else if (A.boolFlag("--trace-stats")) {
-      TraceStats = true;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-
-  Workload W = makeWorkload(WorkloadName, Params);
-  VirtualMachine VM(W.Prog, Model);
-  std::unique_ptr<ContextPolicy> Policy = makePolicy(Kind, Depth);
-  AdaptiveSystem Aos(VM, *Policy, AosConfig);
-  if (TraceStats)
-    Aos.traceListener().enableStatistics();
-  if (!LoadProfile.empty()) {
-    std::ifstream In(LoadProfile);
-    if (!In) {
-      std::fprintf(stderr, "cannot read '%s'\n", LoadProfile.c_str());
-      return 1;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    DynamicCallGraph Training;
-    std::string Error;
-    if (!deserializeProfile(W.Prog, Buffer.str(), Training, Error)) {
-      std::fprintf(stderr, "profile parse error: %s\n", Error.c_str());
-      return 1;
-    }
-    Aos.seedProfile(Training);
-    std::printf("seeded %zu training traces\n", Training.numTraces());
-  }
-  Aos.attach();
-  if (!WarmStartPath.empty()) {
-    std::shared_ptr<const ProfileData> Profile =
-        loadWarmStartProfile(WarmStartPath);
-    if (!Profile)
-      return 1;
-    const WarmStartStats S = Aos.warmStart(*Profile);
+  if (Config.WarmStart) {
+    const WarmStartStats &S = R.WarmStart;
     std::printf("warm start     %llu entries applied, %llu dropped "
                 "(%llu traces, %llu decisions, %llu hot methods, "
                 "%llu refusals)\n",
-                static_cast<unsigned long long>(S.applied()),
-                static_cast<unsigned long long>(S.dropped()),
-                static_cast<unsigned long long>(S.TracesApplied),
-                static_cast<unsigned long long>(S.DecisionsApplied),
-                static_cast<unsigned long long>(S.HotMethodsApplied),
-                static_cast<unsigned long long>(S.RefusalsApplied));
+                ull(S.applied()), ull(S.dropped()), ull(S.TracesApplied),
+                ull(S.DecisionsApplied), ull(S.HotMethodsApplied),
+                ull(S.RefusalsApplied));
     if (S.ThresholdMismatches != 0)
       std::fprintf(stderr,
                    "warning: %llu saved threshold(s) differ from this "
                    "run's configuration (live values win)\n",
-                   static_cast<unsigned long long>(S.ThresholdMismatches));
+                   ull(S.ThresholdMismatches));
   }
-  for (MethodId Entry : W.Entries)
-    VM.addThread(Entry);
-  VM.run();
-
-  std::printf("workload       %s (policy %s)\n", W.Name.c_str(),
-              Policy->name().c_str());
-  std::printf("wall cycles    %llu\n",
-              static_cast<unsigned long long>(VM.cycles()));
+  std::printf("workload       %s (policy %s)\n", R.WorkloadName.c_str(),
+              makePolicy(R.Policy, R.MaxDepth)->name().c_str());
+  std::printf("wall cycles    %llu\n", ull(R.WallCycles));
   std::printf("result         %lld\n",
-              static_cast<long long>(
-                  VM.threads().front()->Result.asInt()));
-  std::printf("samples        %llu\n",
-              static_cast<unsigned long long>(
-                  VM.counters().SamplesTaken));
-  std::printf("opt compiles   %llu (%llu cycles)\n",
-              static_cast<unsigned long long>(Aos.stats().OptCompilations),
-              static_cast<unsigned long long>(
-                  VM.codeManager().optCompileCycles()));
+              static_cast<long long>(R.ProgramResult));
+  std::printf("samples        %llu\n", ull(R.SamplesTaken));
+  std::printf("opt compiles   %llu (%llu cycles)\n", ull(R.OptCompilations),
+              ull(R.OptCompileCycles));
   std::printf("opt code bytes %llu resident / %llu generated\n",
-              static_cast<unsigned long long>(
-                  VM.codeManager().optimizedBytesResident()),
-              static_cast<unsigned long long>(
-                  VM.codeManager().optimizedBytesGenerated()));
+              ull(R.OptBytesResident), ull(R.OptBytesGenerated));
   std::printf("inlined calls  %llu (guard fallbacks %llu)\n",
-              static_cast<unsigned long long>(
-                  VM.counters().InlinedCallsEntered),
-              static_cast<unsigned long long>(
-                  VM.counters().GuardFallbacks));
-  if (AosConfig.Organizer == InlineOrganizerKind::Budget) {
-    const AosStats &S = Aos.stats();
+              ull(R.InlinedCalls), ull(R.GuardFallbacks));
+  if (Config.Aos.Organizer == InlineOrganizerKind::Budget)
     std::printf("budget         %llu candidate units accepted "
                 "(%llu candidates), %llu pruned; estimator error %.1f%%\n",
-                static_cast<unsigned long long>(S.BudgetUnitsSpent),
-                static_cast<unsigned long long>(S.BudgetCandidatesAccepted),
-                static_cast<unsigned long long>(S.BudgetCandidatesPruned),
-                Aos.calibration().meanAbsErrorPct());
-  }
-  if (AosConfig.Osr.Enabled) {
-    const OsrStats &S = Aos.osrStats();
+                ull(R.BudgetUnitsSpent), ull(R.BudgetCandidatesAccepted),
+                ull(R.BudgetCandidatesPruned), R.EstimateErrorPct);
+  if (Config.Aos.Osr.Enabled)
     std::printf("osr            %llu entries, %llu deopts (%llu frames); "
                 "%llu cycles charged, ~%llu recovered\n",
-                static_cast<unsigned long long>(S.OsrEntries),
-                static_cast<unsigned long long>(S.Deopts),
-                static_cast<unsigned long long>(S.DeoptFramesRemapped),
-                static_cast<unsigned long long>(S.TransitionCyclesCharged),
-                static_cast<unsigned long long>(S.CyclesRecoveredEstimate));
-  }
-  if (Model.CodeCache.enabled()) {
-    const CodeManager &Code = VM.codeManager();
+                ull(R.OsrEntries), ull(R.Deopts), ull(R.DeoptFramesRemapped),
+                ull(R.OsrTransitionCycles), ull(R.OsrCyclesRecovered));
+  if (Config.Model.CodeCache.enabled())
     std::printf("code cache     %llu live / %llu peak bytes (cap %llu); "
                 "%llu evictions, %llu recompiles after evict\n",
-                static_cast<unsigned long long>(Code.liveCodeBytes()),
-                static_cast<unsigned long long>(Code.peakCodeBytes()),
-                static_cast<unsigned long long>(
-                    Model.CodeCache.CapacityBytes),
-                static_cast<unsigned long long>(Code.numEvictions()),
-                static_cast<unsigned long long>(
-                    Code.recompilesAfterEvict()));
-  }
-  if (Model.Fuse.Enabled) {
-    const CodeManager &Code = VM.codeManager();
+                ull(R.LiveCodeBytes), ull(R.PeakCodeBytes),
+                ull(Config.Model.CodeCache.CapacityBytes), ull(R.Evictions),
+                ull(R.RecompilesAfterEvict));
+  if (Config.Model.Fuse.Enabled)
     std::printf("fusion         %llu runs (%llu instrs) installed, "
                 "%llu host bytes; %llu batches executed\n",
-                static_cast<unsigned long long>(Code.fusedRunsInstalled()),
-                static_cast<unsigned long long>(Code.fusedOpsTotal()),
-                static_cast<unsigned long long>(Code.fusedBytesTotal()),
-                static_cast<unsigned long long>(
-                    VM.counters().FusedRunsExecuted));
-  }
+                ull(R.FusedRuns), ull(R.FusedOps), ull(R.FusedBytes),
+                ull(R.FusedBatchesExecuted));
   for (unsigned C = 0; C != NumAosComponents; ++C)
     std::printf("aos %-21s %8.4f%%\n",
                 aosComponentName(static_cast<AosComponent>(C)),
-                100.0 *
-                    static_cast<double>(VM.overheadMeter().cycles(
-                        static_cast<AosComponent>(C))) /
-                    static_cast<double>(VM.cycles()));
-
-  if (TraceStats) {
-    const TraceStatistics &S = Aos.traceListener().statistics();
+                100.0 * static_cast<double>(R.ComponentCycles[C]) /
+                    static_cast<double>(R.WallCycles));
+  if (O.TraceStats)
     std::printf("trace stats    %llu samples, %.0f%% parameterless "
                 "callees, mean depth %.2f\n",
-                static_cast<unsigned long long>(S.numSamples()),
-                S.calleeParameterlessFraction() * 100,
-                S.meanRecordedDepth());
-  }
-
-  if (ShowPlans) {
-    std::printf("\ninstalled optimized code:\n");
-    for (const auto &V : VM.codeManager().allVariants())
-      if (V->Level != OptLevel::Baseline &&
-          VM.codeManager().current(V->M) == V.get())
-        std::printf("%s", describeVariant(W.Prog, *V).c_str());
-  }
-
-  if (!SaveProfile.empty()) {
-    std::ofstream Out(SaveProfile);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", SaveProfile.c_str());
+                ull(R.TraceStats.numSamples()),
+                R.TraceStats.calleeParameterlessFraction() * 100,
+                R.TraceStats.meanRecordedDepth());
+  if (O.Plans)
+    std::printf("\ninstalled optimized code:\n%s", R.Plans.c_str());
+  if (!O.ProfileOut.empty()) {
+    if (!writeFile(O.ProfileOut, R.CapturedProfile))
       return 1;
-    }
-    Out << serializeProfile(W.Prog, Aos.dcg());
-    std::printf("profile saved to %s\n", SaveProfile.c_str());
-  }
-  if (!ProfileOut.empty()) {
-    if (!writeProfileFile(
-            ProfileOut, serializeProfileData(Aos.snapshotProfile(W.Name))))
-      return 1;
-    std::printf("v2 profile saved to %s\n", ProfileOut.c_str());
+    std::printf("v2 profile saved to %s\n", O.ProfileOut.c_str());
   }
   return 0;
 }
 
-int cmdTrace(int Argc, char **Argv) {
-  RunConfig Config;
-  Config.WorkloadName.clear();
-  std::string TraceOut, Filter;
-  std::string ProfileOut, WarmStartPath;
-  unsigned Trials = 1;
-  uint64_t MaxEvents = 0;
-
-  // Flags and the workload operand may come in any order:
-  //   aoci trace --trace-out t.json compress
-  //   aoci trace compress --trace-filter sample
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--trace-out", Value)) {
-      TraceOut = Value;
-    } else if (A.flag("--trace-filter", Value)) {
-      Filter = Value;
-    } else if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Config.Policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-      if (Config.MaxDepth == 1 &&
-          Config.Policy != PolicyKind::ContextInsensitive)
-        Config.MaxDepth = 4;
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Config.MaxDepth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Params.Seed))
-        return 1;
-    } else if (A.flag("--trials", Value)) {
-      if (!parseUnsigned32("--trials", Value, Trials))
-        return 1;
-    } else if (A.flag("--max-events", Value)) {
-      if (!parseUnsigned("--max-events", Value,
-                         std::numeric_limits<uint64_t>::max(), MaxEvents))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
-      if (R < 0)
-        return 1;
-    } else if (A.flag("--profile-out", Value)) {
-      ProfileOut = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else if (Argv[A.Pos][0] != '-' && Config.WorkloadName.empty()) {
-      Config.WorkloadName = Argv[A.Pos++];
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-  if (Config.WorkloadName.empty()) {
-    std::fprintf(stderr, "trace: missing workload operand\n");
-    return usage();
-  }
-  if (!knownWorkload(Config.WorkloadName)) {
-    std::fprintf(stderr, "unknown workload '%s'\n",
-                 Config.WorkloadName.c_str());
+int cmdTrace(Options &O) {
+  RunConfig &Config = O.Run;
+  Config.WorkloadName = O.Operands[0];
+  if (!checkWorkload("trace", Config.WorkloadName))
     return 1;
-  }
-
-  uint32_t Mask = TraceAllKinds;
-  std::string Error;
-  if (!parseTraceFilter(Filter, Mask, Error)) {
-    std::fprintf(stderr, "trace: %s\n", Error.c_str());
-    return 1;
-  }
-
-  if (!WarmStartPath.empty()) {
-    Config.WarmStart = loadWarmStartProfile(WarmStartPath);
-    if (!Config.WarmStart)
-      return 1;
-  }
-  Config.CaptureProfile = !ProfileOut.empty();
-
+  Config.CaptureProfile = !O.ProfileOut.empty();
   TraceSink Sink;
-  Sink.enable(Mask);
-  Sink.setCapacity(MaxEvents);
+  Sink.enable(O.TraceMask);
+  Sink.setCapacity(O.MaxEvents);
   Config.Trace = &Sink;
-  RunResult R = runBestOf(Config, Trials < 1 ? 1 : Trials);
-  if (!ProfileOut.empty()) {
-    if (!writeProfileFile(ProfileOut, R.CapturedProfile))
-      return 1;
-    std::fprintf(stderr, "v2 profile saved to %s\n", ProfileOut.c_str());
-  }
+  const RunResult R = runBestOf(Config, O.Trials);
+  if (!O.ProfileOut.empty() &&
+      !writeFile(O.ProfileOut, R.CapturedProfile, "v2 profile"))
+    return 1;
 
   const std::string ProcessName =
       Config.Policy == PolicyKind::ContextInsensitive
@@ -727,180 +615,52 @@ int cmdTrace(int Argc, char **Argv) {
                 ".d" + std::to_string(Config.MaxDepth);
   std::fprintf(stderr,
                "%s: %llu cycles, %llu events recorded (%llu dropped)\n",
-               ProcessName.c_str(),
-               static_cast<unsigned long long>(R.WallCycles),
-               static_cast<unsigned long long>(Sink.numEvents()),
-               static_cast<unsigned long long>(Sink.droppedEvents()));
-
-  if (TraceOut.empty()) {
+               ProcessName.c_str(), ull(R.WallCycles), ull(Sink.numEvents()),
+               ull(Sink.droppedEvents()));
+  if (O.TraceOut.empty()) {
     writeChromeTrace(std::cout, Sink, ProcessName);
     return 0;
   }
-  std::ofstream Out(TraceOut, std::ios::binary);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write '%s'\n", TraceOut.c_str());
-    return 1;
-  }
-  writeChromeTrace(Out, Sink, ProcessName);
-  std::fprintf(stderr, "trace written to %s (load it at ui.perfetto.dev)\n",
-               TraceOut.c_str());
-  return 0;
+  std::ostringstream Trace;
+  writeChromeTrace(Trace, Sink, ProcessName);
+  return writeFile(O.TraceOut, Trace.str(), "trace") ? 0 : 1;
 }
 
-int cmdGrid(int Argc, char **Argv) {
-  GridConfig Config;
-  std::string Report = "all";
-  std::string Csv, MetricsCsv, TraceOut, TraceFilter;
-  std::string ProfileOutDir, WarmStartPath;
-  // 0 lets runGridParallel pick hardware_concurrency. Results are
-  // byte-identical for every job count; see DESIGN.md.
-  unsigned Jobs = 0;
-  bool ShowMetrics = false;
+int cmdGrid(Options &O) {
+  GridConfig &Config = O.Grid;
+  Config.Workloads = O.Workloads;
+  Config.Trials = O.Trials;
+  Config.Trace = !O.TraceOut.empty() || !O.TraceFilter.empty();
+  Config.TraceKindMask = O.TraceMask;
+  Config.CaptureProfile = !O.ProfileOut.empty();
+  const GridResults Results = runGridParallel(Config, O.Jobs, printProgress);
 
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--workloads", Value)) {
-      Config.Workloads = splitList(Value);
-    } else if (A.flag("--policies", Value)) {
-      Config.Policies.clear();
-      for (const std::string &Name : splitList(Value)) {
-        PolicyKind Kind;
-        if (!parsePolicy(Name, Kind)) {
-          std::fprintf(stderr, "unknown policy '%s'\n", Name.c_str());
-          return 1;
-        }
-        Config.Policies.push_back(Kind);
-      }
-    } else if (A.flag("--depths", Value)) {
-      Config.Depths.clear();
-      for (const std::string &D : splitList(Value)) {
-        unsigned Depth = 0;
-        if (!parseUnsigned32("--depths", D, Depth))
-          return 1;
-        Config.Depths.push_back(Depth);
-      }
-    } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
-    } else if (A.flag("--trials", Value)) {
-      if (!parseUnsigned32("--trials", Value, Config.Trials))
-        return 1;
-    } else if (A.flag("--jobs", Value)) {
-      if (!parseUnsigned32("--jobs", Value, Jobs))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
-      if (R < 0)
-        return 1;
-    } else if (A.flag("--csv", Value)) {
-      Csv = Value;
-    } else if (A.flag("--metrics-csv", Value)) {
-      MetricsCsv = Value;
-    } else if (A.boolFlag("--metrics")) {
-      ShowMetrics = true;
-    } else if (A.flag("--trace-out", Value)) {
-      TraceOut = Value;
-    } else if (A.flag("--trace-filter", Value)) {
-      TraceFilter = Value;
-    } else if (A.flag("--profile-out", Value)) {
-      ProfileOutDir = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else if (A.flag("--report", Value)) {
-      Report = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-
-  if (!TraceOut.empty() || !TraceFilter.empty()) {
-    Config.Trace = true;
-    std::string Error;
-    if (!parseTraceFilter(TraceFilter, Config.TraceKindMask, Error)) {
-      std::fprintf(stderr, "grid: %s\n", Error.c_str());
-      return 1;
-    }
-  }
-  if (!WarmStartPath.empty()) {
-    Config.WarmStart = loadWarmStartProfile(WarmStartPath);
-    if (!Config.WarmStart)
-      return 1;
-  }
-  Config.CaptureProfile = !ProfileOutDir.empty();
-
-  GridResults Results =
-      runGridParallel(Config, Jobs, [](const std::string &Line) {
-        std::fprintf(stderr, "%s\n", Line.c_str());
-      });
-  if (Report == "fig4" || Report == "all")
-    std::printf("%s\n",
-                reportFigure4(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "fig5" || Report == "all")
-    std::printf("%s\n",
-                reportFigure5(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "compile" || Report == "all")
-    std::printf("%s\n",
-                reportCompileTime(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "fig6" || Report == "all")
-    std::printf("%s\n",
-                reportFigure6(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "summary" || Report == "all")
-    std::printf("%s\n",
-                reportSummary(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (ShowMetrics)
+  for (const auto &[Name, Report] : GridReports)
+    if (O.Report == "all" || O.Report == Name)
+      std::printf("%s\n",
+                  Report(Results, Config.Policies, Config.Depths).c_str());
+  if (O.ShowMetrics)
     std::printf("%s\n", reportRunMetrics(Results).c_str());
-  if (!Csv.empty()) {
-    std::ofstream Out(Csv);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", Csv.c_str());
+  if (!O.Csv.empty() &&
+      !writeFile(O.Csv, exportCsv(Results, Config.Policies, Config.Depths),
+                 "csv"))
+    return 1;
+  if (!O.MetricsCsv.empty() &&
+      !writeFile(O.MetricsCsv, exportMetricsCsv(Results), "metrics csv"))
+    return 1;
+  if (!O.TraceOut.empty()) {
+    std::ostringstream Trace;
+    exportGridTrace(Trace, Results);
+    if (!writeFile(O.TraceOut, Trace.str(), "trace"))
       return 1;
-    }
-    Out << exportCsv(Results, Config.Policies, Config.Depths);
-    std::fprintf(stderr, "csv written to %s\n", Csv.c_str());
   }
-  if (!MetricsCsv.empty()) {
-    std::ofstream Out(MetricsCsv);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", MetricsCsv.c_str());
-      return 1;
-    }
-    Out << exportMetricsCsv(Results);
-    std::fprintf(stderr, "metrics csv written to %s\n",
-                 MetricsCsv.c_str());
-  }
-  if (!TraceOut.empty()) {
-    std::ofstream Out(TraceOut, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", TraceOut.c_str());
-      return 1;
-    }
-    exportGridTrace(Out, Results);
-    std::fprintf(stderr, "trace written to %s (load it at ui.perfetto.dev)\n",
-                 TraceOut.c_str());
-  }
-  if (!ProfileOutDir.empty()) {
-    std::filesystem::create_directories(ProfileOutDir);
+  if (!O.ProfileOut.empty()) {
+    std::filesystem::create_directories(O.ProfileOut);
     size_t Written = 0;
     auto save = [&](const RunResult &R, const std::string &Stem) {
       const std::filesystem::path Path =
-          std::filesystem::path(ProfileOutDir) / (Stem + ".prof");
-      if (!writeProfileFile(Path.string(), R.CapturedProfile))
+          std::filesystem::path(O.ProfileOut) / (Stem + ".prof");
+      if (!writeFile(Path.string(), R.CapturedProfile))
         return false;
       ++Written;
       return true;
@@ -916,26 +676,16 @@ int cmdGrid(int Argc, char **Argv) {
             return 1;
     }
     std::fprintf(stderr, "%zu v2 profile(s) written to %s\n", Written,
-                 ProfileOutDir.c_str());
+                 O.ProfileOut.c_str());
   }
   return 0;
 }
 
 /// Reads and parses one `.scn` file; reports errors to stderr.
-bool loadScenarioFile(const std::filesystem::path &Path, ScenarioSpec &Spec) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "cannot read '%s'\n", Path.string().c_str());
-    return false;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Error;
-  if (!parseScenario(Buffer.str(), Spec, Error)) {
-    std::fprintf(stderr, "%s: %s\n", Path.string().c_str(), Error.c_str());
-    return false;
-  }
-  return true;
+bool loadScenarioFile(const std::string &Path, ScenarioSpec &Spec) {
+  std::string Text, Error;
+  return readFile("scenario", Path, Text) &&
+         check(parseScenario(Text, Spec, Error), Path, Error);
 }
 
 /// Parses every `*.scn` under \p Dir (sorted by filename, so results are
@@ -955,95 +705,31 @@ bool loadScenarioDir(const std::string &Dir,
   std::sort(Files.begin(), Files.end());
   for (const auto &Path : Files) {
     ScenarioSpec Spec;
-    if (!loadScenarioFile(Path, Spec))
+    if (!loadScenarioFile(Path.string(), Spec))
       return false;
     Specs.push_back(std::move(Spec));
   }
   return true;
 }
 
-int cmdFuzz(int Argc, char **Argv) {
-  FuzzConfig Config;
-  std::string OutDir, KnownDir;
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(), Config.Seed))
-        return 1;
-    } else if (A.flag("--budget", Value)) {
-      if (!parseUnsigned32("--budget", Value, Config.Budget))
-        return 1;
-    } else if (A.flag("--policy-a", Value)) {
-      if (!parsePolicy(Value, Config.PolicyA)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-    } else if (A.flag("--depth-a", Value)) {
-      if (!parseUnsigned32("--depth-a", Value, Config.DepthA))
-        return 1;
-    } else if (A.flag("--policy-b", Value)) {
-      if (!parsePolicy(Value, Config.PolicyB)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-    } else if (A.flag("--depth-b", Value)) {
-      if (!parseUnsigned32("--depth-b", Value, Config.DepthB))
-        return 1;
-    } else if (A.flag("--threshold", Value)) {
-      Config.ThresholdPct = std::atof(Value.c_str());
-    } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
-    } else if (A.flag("--workload-seed", Value)) {
-      if (!parseUnsigned("--workload-seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Params.Seed))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
-        return 1;
-    } else if (A.flag("--max-diffs", Value)) {
-      if (!parseUnsigned32("--max-diffs", Value, Config.MaxDifferentials))
-        return 1;
-    } else if (A.flag("--out", Value)) {
-      OutDir = Value;
-    } else if (A.flag("--known", Value)) {
-      KnownDir = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-
+int cmdFuzz(Options &O) {
   // The corpus of already-known findings, keyed on the canonical spec
   // (name and expect block stripped), so a rename is not "new".
   std::vector<std::string> KnownKeys;
-  if (!KnownDir.empty()) {
+  if (!O.KnownDir.empty()) {
     std::vector<ScenarioSpec> Corpus;
-    if (!loadScenarioDir(KnownDir, Corpus))
+    if (!loadScenarioDir(O.KnownDir, Corpus))
       return 1;
     for (const ScenarioSpec &S : Corpus)
       KnownKeys.push_back(scenarioSearchKey(S));
     std::fprintf(stderr, "loaded %zu known reproducer(s) from %s\n",
-                 KnownKeys.size(), KnownDir.c_str());
+                 KnownKeys.size(), O.KnownDir.c_str());
   }
 
-  FuzzResults Results = runFuzz(Config, [](const std::string &Line) {
-    std::fprintf(stderr, "%s\n", Line.c_str());
-  });
+  FuzzResults Results = runFuzz(O.Fuzz, printProgress);
   std::fprintf(stderr,
                "fuzz: %u candidate(s), %llu run(s), %zu differential(s)\n",
-               Results.CandidatesTried,
-               static_cast<unsigned long long>(Results.TotalRuns),
+               Results.CandidatesTried, ull(Results.TotalRuns),
                Results.Differentials.size());
 
   bool FoundNew = false;
@@ -1052,50 +738,42 @@ int cmdFuzz(int Argc, char **Argv) {
     const bool Known =
         std::find(KnownKeys.begin(), KnownKeys.end(),
                   scenarioSearchKey(D.Spec)) != KnownKeys.end();
-    if (!KnownDir.empty() && !Known)
+    if (!O.KnownDir.empty() && !Known)
       FoundNew = true;
     std::printf("# %s: %s %+.2f%% over %s (shrunk from %+.2f%%)%s\n%s\n",
                 D.Spec.Name.c_str(), D.Spec.Expect.PolicyA.c_str(),
                 D.DeltaPct, D.Spec.Expect.PolicyB.c_str(),
                 D.OriginalDeltaPct,
                 Known ? " [known]" : "", Text.c_str());
-    if (!OutDir.empty()) {
-      std::filesystem::create_directories(OutDir);
+    if (!O.OutDir.empty()) {
+      std::filesystem::create_directories(O.OutDir);
       const std::filesystem::path Path =
-          std::filesystem::path(OutDir) / (D.Spec.Name + ".scn");
-      std::ofstream Out(Path, std::ios::binary);
-      if (!Out) {
-        std::fprintf(stderr, "cannot write '%s'\n", Path.string().c_str());
+          std::filesystem::path(O.OutDir) / (D.Spec.Name + ".scn");
+      if (!writeFile(Path.string(), Text, "reproducer"))
         return 1;
-      }
-      Out << Text;
-      std::fprintf(stderr, "reproducer written to %s\n",
-                   Path.string().c_str());
     }
   }
   if (FoundNew) {
     std::fprintf(stderr, "fuzz: NEW differential(s) not in %s\n",
-                 KnownDir.c_str());
+                 O.KnownDir.c_str());
     return 1;
   }
   return 0;
 }
 
-int cmdReplay(int Argc, char **Argv) {
-  if (Argc < 3)
-    return usage();
+int cmdReplay(Options &O) {
+  const char *File = O.Operands[0].c_str();
   ScenarioSpec Spec;
-  if (!loadScenarioFile(Argv[2], Spec))
+  if (!loadScenarioFile(File, Spec))
     return 1;
   if (!Spec.HasExpectation) {
-    std::fprintf(stderr, "%s has no expect block; nothing to replay\n",
-                 Argv[2]);
+    std::fprintf(stderr, "%s has no expect block; nothing to replay\n", File);
     return 1;
   }
   PolicyKind Check;
   if (!parsePolicyKind(Spec.Expect.PolicyA, Check) ||
       !parsePolicyKind(Spec.Expect.PolicyB, Check)) {
-    std::fprintf(stderr, "%s: unknown policy in expect block\n", Argv[2]);
+    std::fprintf(stderr, "%s: unknown policy in expect block\n", File);
     return 1;
   }
   const double Delta = replayScenario(Spec);
@@ -1109,75 +787,22 @@ int cmdReplay(int Argc, char **Argv) {
   return SameSign ? 0 : 1;
 }
 
-int cmdSteady(int Argc, char **Argv) {
-  std::vector<std::string> Workloads = workloadNames();
-  RunConfig Base;
-  unsigned Trials = 1;
-  std::string JsonOut;
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--workloads", Value)) {
-      Workloads = splitList(Value);
-    } else if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Base.Policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-      if (Base.MaxDepth == 1 && Base.Policy != PolicyKind::ContextInsensitive)
-        Base.MaxDepth = 4;
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Base.MaxDepth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      Base.Params.Scale = std::atof(Value.c_str());
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Base.Params.Seed))
-        return 1;
-    } else if (A.flag("--trials", Value)) {
-      if (!parseUnsigned32("--trials", Value, Trials))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Base.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Base.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Base.Model.Fuse))
-        return 1;
-    } else if (A.flag("--json", Value)) {
-      JsonOut = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-  for (const std::string &W : Workloads)
-    if (!knownWorkload(W)) {
-      std::fprintf(stderr, "unknown workload '%s'\n", W.c_str());
-      return 1;
-    }
-
+int cmdSteady(Options &O) {
   bool AllReached = true;
   std::string Json = "{\"workloads\":[";
   std::printf("%-22s %12s %12s %12s  %s\n", "workload", "wall Mcy",
               "warmup Mcy", "steady Mcy", "verdict");
-  for (size_t I = 0; I != Workloads.size(); ++I) {
-    RunConfig Config = Base;
-    Config.WorkloadName = Workloads[I];
+  for (size_t I = 0; I != O.Workloads.size(); ++I) {
+    const std::string &Name = O.Workloads[I];
+    RunConfig Config = O.Run;
+    Config.WorkloadName = Name;
     TraceSink Sink;
     Sink.enable(steadyStateKindMask());
     Config.Trace = &Sink;
-    const RunResult R = runBestOf(Config, Trials < 1 ? 1 : Trials);
+    const RunResult R = runBestOf(Config, O.Trials);
     const SteadyStateResult S = detectSteadyState(Sink, R.WallCycles);
     AllReached &= S.Reached;
-    std::printf("%-22s %12.2f %12.2f %12.2f  %s (%s)\n",
-                Workloads[I].c_str(),
+    std::printf("%-22s %12.2f %12.2f %12.2f  %s (%s)\n", Name.c_str(),
                 static_cast<double>(R.WallCycles) / 1e6,
                 static_cast<double>(S.WarmupCycles) / 1e6,
                 static_cast<double>(S.SteadyCycles) / 1e6,
@@ -1185,168 +810,208 @@ int cmdSteady(int Argc, char **Argv) {
     Json += formatString(
         "%s{\"name\":\"%s\",\"reached\":%s,\"wallCycles\":%llu,"
         "\"warmupCycles\":%llu,\"steadyCycles\":%llu,\"why\":\"%s\"}",
-        I == 0 ? "" : ",", jsonEscape(Workloads[I]).c_str(),
-        S.Reached ? "true" : "false",
-        static_cast<unsigned long long>(R.WallCycles),
-        static_cast<unsigned long long>(S.WarmupCycles),
-        static_cast<unsigned long long>(S.SteadyCycles),
-        jsonEscape(S.Why).c_str());
+        I == 0 ? "" : ",", jsonEscape(Name).c_str(),
+        S.Reached ? "true" : "false", ull(R.WallCycles),
+        ull(S.WarmupCycles), ull(S.SteadyCycles), jsonEscape(S.Why).c_str());
   }
   Json += formatString("],\"allReached\":%s}\n",
                        AllReached ? "true" : "false");
-  if (!JsonOut.empty()) {
-    std::ofstream Out(JsonOut, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", JsonOut.c_str());
-      return 1;
-    }
-    Out << Json;
-    std::fprintf(stderr, "verdict written to %s\n", JsonOut.c_str());
-  }
+  if (!O.JsonOut.empty() && !writeFile(O.JsonOut, Json, "verdict"))
+    return 1;
   return AllReached ? 0 : 1;
 }
 
-int cmdServe(int Argc, char **Argv) {
-  ServeConfig Config;
-  std::string TenantList, Csv, TraceOut, TraceFilter, WarmStartPath;
-  unsigned Jobs = 1;
-
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--tenants", Value)) {
-      TenantList = Value;
-    } else if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Config.Policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Config.MaxDepth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Params.Seed))
-        return 1;
-    } else if (A.flag("--slice", Value)) {
-      if (!parseUnsigned("--slice", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.SliceCycles))
-        return 1;
-      if (Config.SliceCycles == 0) {
-        std::fprintf(stderr, "--slice must be at least 1 cycle\n");
-        return 1;
-      }
-    } else if (A.flag("--stagger", Value)) {
-      if (!parseUnsigned32("--stagger", Value, Config.StaggerRounds))
-        return 1;
-    } else if (A.flag("--share-cache", Value)) {
-      if (Value == "off") {
-        Config.ShareEnabled = false;
-        Config.ShareCapacityBytes = 0;
-      } else if (!parseUnsigned("--share-cache", Value,
-                                std::numeric_limits<uint64_t>::max(),
-                                Config.ShareCapacityBytes))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
-      if (R < 0)
-        return 1;
-    } else if (A.flag("--jobs", Value)) {
-      if (!parseUnsigned32("--jobs", Value, Jobs))
-        return 1;
-    } else if (A.flag("--csv", Value)) {
-      Csv = Value;
-    } else if (A.flag("--trace-out", Value)) {
-      TraceOut = Value;
-    } else if (A.flag("--trace-filter", Value)) {
-      TraceFilter = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-  if (TenantList.empty()) {
+int cmdServe(Options &O) {
+  ServeConfig &Config = O.Serve;
+  if (!O.Seen.count("--tenants")) {
     std::fprintf(stderr, "serve: --tenants is required\n");
-    return usage();
-  }
-  std::string Error;
-  if (!parseTenantList(TenantList, Config.Tenants, Error)) {
-    std::fprintf(stderr, "serve: %s\n", Error.c_str());
     return 1;
   }
-  uint32_t Mask = TraceAllKinds;
-  if (!parseTraceFilter(TraceFilter, Mask, Error)) {
-    std::fprintf(stderr, "serve: %s\n", Error.c_str());
-    return 1;
-  }
-  Config.Trace = !TraceOut.empty();
-  Config.TraceKindMask = Mask;
-  if (!WarmStartPath.empty()) {
-    Config.WarmStart = loadWarmStartProfile(WarmStartPath);
-    if (!Config.WarmStart)
-      return 1;
-  }
-
-  const ServeResults Results = runServe(
-      Config, Jobs, [](const std::string &Line) {
-        std::fprintf(stderr, "%s\n", Line.c_str());
-      });
+  Config.Trace = !O.TraceOut.empty();
+  Config.TraceKindMask = O.TraceMask;
+  const ServeResults Results = runServe(Config, O.Jobs, printProgress);
 
   std::printf("%s", reportServe(Results).c_str());
-  if (!Csv.empty()) {
-    std::ofstream Out(Csv, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", Csv.c_str());
+  if (!O.Csv.empty() &&
+      !writeFile(O.Csv, exportServeCsv(Results), "serve csv"))
+    return 1;
+  if (!O.TraceOut.empty()) {
+    std::ostringstream Trace;
+    exportServeTrace(Trace, Results);
+    if (!writeFile(O.TraceOut, Trace.str(), "trace"))
       return 1;
-    }
-    Out << exportServeCsv(Results);
-    std::fprintf(stderr, "serve csv written to %s\n", Csv.c_str());
-  }
-  if (!TraceOut.empty()) {
-    std::ofstream Out(TraceOut, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", TraceOut.c_str());
-      return 1;
-    }
-    exportServeTrace(Out, Results);
-    std::fprintf(stderr,
-                 "trace written to %s (load it at ui.perfetto.dev)\n",
-                 TraceOut.c_str());
   }
   return 0;
 }
 
-int cmdDisasm(int Argc, char **Argv) {
-  if (Argc < 3)
-    return usage();
-  Workload W = makeWorkload(Argv[2], WorkloadParams{1, 0.01});
-  if (Argc >= 4) {
-    MethodId M = W.Prog.findMethod(Argv[3]);
-    if (M == InvalidMethodId) {
-      std::fprintf(stderr, "no method '%s' in %s\n", Argv[3], Argv[2]);
-      return 1;
-    }
-    std::printf("%s", disassembleMethod(W.Prog, M).c_str());
+int cmdDisasm(Options &O) {
+  const std::string &Name = O.Operands[0];
+  if (!checkWorkload("disasm", Name))
+    return 1;
+  Workload W = makeWorkload(Name, WorkloadParams{1, 0.01});
+  if (O.Operands.size() == 1) {
+    std::printf("%s", disassembleProgram(W.Prog).c_str());
     return 0;
   }
-  std::printf("%s", disassembleProgram(W.Prog).c_str());
+  MethodId M = W.Prog.findMethod(O.Operands[1]);
+  if (M == InvalidMethodId) {
+    std::fprintf(stderr, "no method '%s' in %s\n", O.Operands[1].c_str(),
+                 Name.c_str());
+    return 1;
+  }
+  std::printf("%s", disassembleMethod(W.Prog, M).c_str());
   return 0;
+}
+
+/// One subcommand.
+struct Command {
+  const char *Name;
+  /// Its CommandBit; 0 for a command that takes no flags.
+  unsigned Bit;
+  /// Positional operands, for the usage text, and their count range.
+  const char *Operands;
+  unsigned MinOperands, MaxOperands;
+  int (*Run)(Options &);
+};
+
+const Command Commands[] = {
+    {"list", 0, "", 0, 0, cmdList},
+    {"table1", 0, "", 0, 0, cmdTable1},
+    {"run", CmdRun, " <workload>", 1, 1, cmdRun},
+    {"grid", CmdGrid, "", 0, 0, cmdGrid},
+    {"trace", CmdTrace, " <workload>", 1, 1, cmdTrace},
+    {"disasm", 0, " <workload> [method]", 1, 2, cmdDisasm},
+    {"fuzz", CmdFuzz, "", 0, 0, cmdFuzz},
+    {"replay", 0, " <file.scn>", 1, 1, cmdReplay},
+    {"steady", CmdSteady, "", 0, 0, cmdSteady},
+    {"serve", CmdServe, "", 0, 0, cmdServe},
+};
+
+const char *const HelpText =
+    "policies: cins fixed paramLess class large hybrid1 hybrid2 "
+    "imprecision\n"
+    "workloads: Table 1 names plus the built-in adversarial scenarios\n"
+    "  (scn-megamorphic-storm, scn-phase-flip, scn-alloc-burst,\n"
+    "  scn-cache-churn)\n"
+    "fuzz: searches seeded scenario mutations for runs where policy A\n"
+    "  beats policy B by more than the threshold; shrinks each finding\n"
+    "  and writes replayable .scn reproducers (--out). With --known DIR\n"
+    "  the exit status is 1 iff a differential not in DIR was found.\n"
+    "steady: runs each workload traced and reports the warmup/steady\n"
+    "  split; exit status is 1 unless every run reached steady state.\n"
+    "serve: runs the --tenants sessions (required) concurrently against\n"
+    "  one process-wide shared code cache (variants keyed by method +\n"
+    "  inline-plan fingerprint + opt level); a hit charges only the\n"
+    "  link cost. Deterministic for any --jobs. --share-cache bounds\n"
+    "  the shared index (off disables sharing entirely); --stagger\n"
+    "  offsets session start rounds; --slice sets the per-round cycle\n"
+    "  slice. OSR defaults ON in serve so shared evictions can deopt\n"
+    "  live sessions.\n"
+    "--policy: a context-sensitive policy defaults to --depth 4\n"
+    "--osr: transfer live activations onto replacement code at loop\n"
+    "  backedges (on-stack replacement + deoptimization); default off\n"
+    "--organizer: how inlining rules are codified from the DCG.\n"
+    "  'threshold' (default) is the paper's 1.5% hot-trace organizer;\n"
+    "  'budget' prices candidates with measured compiled sizes (falling\n"
+    "  back to a self-calibrating estimate for never-compiled callees)\n"
+    "  under per-caller inflation and global exploration budgets.\n"
+    "  Budget knobs: --budget-inflation F (per-caller budget = caller\n"
+    "  units x F + slack; default 2.5), --budget-slack U (default 80),\n"
+    "  --budget-explore U (per-wakeup pool for estimate-priced\n"
+    "  candidates; default 600), --budget-min-weight W (candidate noise\n"
+    "  floor; default 1.5). Emits uncharged budget-decision trace events.\n"
+    "--code-cache: bound total installed code bytes; victims are chosen\n"
+    "  deterministically (least-recently-invoked by simulated cycle) and\n"
+    "  live activations deoptimize first; 0 (default) = unbounded\n"
+    "--profile-out: save the run's full AOS decision state (DCG trace\n"
+    "  weights, hot-method samples, inline decisions and refusals) as a\n"
+    "  versioned v2 profile; see docs/profile-format.md. On grid, DIR\n"
+    "  receives one .prof per run\n"
+    "--warm-start: re-seed the adaptive system from a v2 profile before\n"
+    "  the run; stale entries are dropped and counted, never fatal.\n"
+    "--fuse: superinstruction fusion — lower straight-line runs of hot\n"
+    "  method bodies into batched handlers at install time. Host-side\n"
+    "  only: simulated cycles are bit-identical on or off. 'on' fuses\n"
+    "  optimized code (opt level >= 1), 'level=N' fuses at opt level >= N\n"
+    "  (level=0 includes baseline code); default off\n"
+    "trace kinds: comma-separated event names (see OBSERVABILITY.md), "
+    "e.g.\n"
+    "  --trace-filter sample,controller-decision,compile-complete\n";
+
+/// Prints the usage, its synopses generated from Commands and Flags.
+int usage() {
+  std::string Text = "usage:\n";
+  for (const Command &C : Commands) {
+    std::string Line = std::string("  aoci ") + C.Name + C.Operands;
+    const std::string Indent(std::strlen(C.Name) + 7, ' ');
+    for (const Flag &F : Flags) {
+      if (!(F.Commands & C.Bit))
+        continue;
+      const std::string Item = std::string("[") + F.Name +
+                               (F.Syntax ? std::string(" ") + F.Syntax : "") +
+                               "]";
+      if (Line.size() + 1 + Item.size() > 78) {
+        Text += Line + "\n";
+        Line = Indent;
+      }
+      Line += " " + Item;
+    }
+    Text += Line + "\n";
+  }
+  std::fprintf(stderr, "%s%s", Text.c_str(), HelpText);
+  return 1;
+}
+
+/// Applies argv[2..] onto \p O: flags through the table, everything else
+/// as operands. Returns false after reporting the first error.
+bool parseArgs(int Argc, char **Argv, const Command &Cmd, Options &O) {
+  for (int I = 2; I < Argc; ++I) {
+    const std::string Arg = Argv[I];
+    if (Cmd.Bit == 0 || Arg.empty() || Arg[0] != '-') {
+      O.Operands.push_back(Arg);
+      continue;
+    }
+    const Flag *F = std::find_if(
+        std::begin(Flags), std::end(Flags), [&](const Flag &Candidate) {
+          return Arg == Candidate.Name && (Candidate.Commands & Cmd.Bit);
+        });
+    if (F == std::end(Flags)) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", Cmd.Name,
+                   Arg.c_str());
+      usage();
+      return false;
+    }
+    std::string Value;
+    if (F->Syntax) {
+      if (I + 1 == Argc) {
+        std::fprintf(stderr, "%s: missing value for '%s'\n", Cmd.Name,
+                     Arg.c_str());
+        return false;
+      }
+      Value = Argv[++I];
+    }
+    const auto [Prev, Fresh] = O.Seen.emplace(Arg, Value);
+    if (!Fresh) {
+      std::fprintf(stderr, "%s given twice: '%s', then '%s'\n", F->Name,
+                   Prev->second.c_str(), Value.c_str());
+      return false;
+    }
+    if (!F->Apply)
+      O.*(F->Text) = Value;
+    else if (!F->Apply(O, F->Name, Value))
+      return false;
+  }
+  if (O.Operands.size() < Cmd.MinOperands ||
+      O.Operands.size() > Cmd.MaxOperands) {
+    std::fprintf(stderr, "%s: wrong number of operands\n", Cmd.Name);
+    usage();
+    return false;
+  }
+  // A context-sensitive policy without an explicit depth runs at 4.
+  if (O.Seen.count("--policy") && !O.Seen.count("--depth") &&
+      *O.Policy != PolicyKind::ContextInsensitive)
+    *O.Depth = 4;
+  return true;
 }
 
 } // namespace
@@ -1354,26 +1019,11 @@ int cmdDisasm(int Argc, char **Argv) {
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
-  const std::string Command = Argv[1];
-  if (Command == "list")
-    return cmdList();
-  if (Command == "table1")
-    return cmdTable1();
-  if (Command == "run")
-    return cmdRun(Argc, Argv);
-  if (Command == "grid")
-    return cmdGrid(Argc, Argv);
-  if (Command == "trace")
-    return cmdTrace(Argc, Argv);
-  if (Command == "disasm")
-    return cmdDisasm(Argc, Argv);
-  if (Command == "fuzz")
-    return cmdFuzz(Argc, Argv);
-  if (Command == "replay")
-    return cmdReplay(Argc, Argv);
-  if (Command == "steady")
-    return cmdSteady(Argc, Argv);
-  if (Command == "serve")
-    return cmdServe(Argc, Argv);
+  for (const Command &C : Commands) {
+    if (C.Name != std::string(Argv[1]))
+      continue;
+    Options O(C.Bit);
+    return parseArgs(Argc, Argv, C, O) ? C.Run(O) : 1;
+  }
   return usage();
 }
