@@ -16,15 +16,37 @@
 #include "harness/Experiment.h"
 #include "support/StringUtils.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 
 using namespace aoci;
 
+/// Parses \p Text as a whole-token decimal depth of at least 1.
+bool parseDepth(const char *Text, unsigned &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])))
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  const unsigned long long V = std::strtoull(Text, &End, 10);
+  if (*End != '\0' || errno == ERANGE || V < 1 ||
+      V > std::numeric_limits<unsigned>::max())
+    return false;
+  Out = static_cast<unsigned>(V);
+  return true;
+}
+
 int main(int Argc, char **Argv) {
   std::string Workload = Argc > 1 ? Argv[1] : "jess";
-  unsigned MaxDepth = Argc > 2 ? std::atoi(Argv[2]) : 4;
+  unsigned MaxDepth = 4;
+  if (Argc > 2 && !parseDepth(Argv[2], MaxDepth)) {
+    std::fprintf(stderr, "max-depth must be an integer of at least 1, "
+                         "not '%s'\n",
+                 Argv[2]);
+    return 1;
+  }
   bool Known = false;
   for (const std::string &Name : workloadNames())
     Known |= Name == Workload;

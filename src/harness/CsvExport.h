@@ -35,17 +35,9 @@ std::string exportCsv(const GridResults &Results,
                       const std::vector<unsigned> &Depths);
 
 /// Renders the harness-side execution record (GridResults::metrics())
-/// as CSV, one row per run in grid order. Columns:
-///   workload,policy,max_depth,kind,worker,queue_ns,host_ns,run_cycles,
-///   steady,warmup_cycles,steady_cycles,fused_runs,fused_ops,fused_bytes,
-///   warm_start,warm_applied,warm_dropped,opt_compile_cycles,
-///   share_hits,share_publishes,share_saved_cycles,shared_bytes,
-///   private_bytes
-/// `steady` is n/a for untraced runs (see SteadyState.h), else yes/no.
-/// The share_* columns are the shared-code-cache ledger (zero outside
-/// serve mode; see harness/Serve.h).
-/// The fused_* columns are the run's superinstruction-fusion ledger
-/// (zero with fusion off); deterministic across job counts.
+/// as CSV, one row per run in grid order, each host record beside its
+/// run's counters; tests/golden/metrics_csv.golden pins the columns.
+/// `steady` is n/a for untraced runs (see SteadyState.h).
 /// Kept separate from exportCsv(): simulated results are bit-identical
 /// across thread counts, host timings and worker assignments are not.
 std::string exportMetricsCsv(const GridResults &Results);

@@ -15,6 +15,7 @@
 #include "trace/TraceJson.h"
 #include "workload/scenario/ScenarioWorkload.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstring>
@@ -23,91 +24,108 @@
 
 using namespace aoci;
 
-RunResult aoci::runExperiment(const RunConfig &Config) {
-  Workload W = Config.Scenario
-                   ? makeScenarioWorkload(*Config.Scenario, Config.Params)
-                   : makeWorkload(Config.WorkloadName, Config.Params);
-  VirtualMachine VM(W.Prog, Config.Model);
+LiveRun::LiveRun(const RunConfig &Config)
+    : Config(Config),
+      W(Config.Scenario
+            ? makeScenarioWorkload(*Config.Scenario, Config.Params)
+            : makeWorkload(Config.WorkloadName, Config.Params)),
+      VM(W.Prog, Config.Model),
+      Policy(makePolicy(Config.Policy, Config.MaxDepth)) {
   // Attach the trace sink before the first addThread() so lazy baseline
   // compilations of the entry methods are captured too.
   if (Config.Trace)
     VM.setTraceSink(Config.Trace);
-  std::unique_ptr<ContextPolicy> Policy =
-      makePolicy(Config.Policy, Config.MaxDepth);
-  AdaptiveSystem Aos(VM, *Policy, Config.Aos);
+  Aos = std::make_unique<AdaptiveSystem>(VM, *Policy, Config.Aos);
   if (Config.CollectTraceStats)
-    Aos.traceListener().enableStatistics();
-  Aos.attach();
-  WarmStartStats Warm;
+    Aos->traceListener().enableStatistics();
+}
+
+void LiveRun::start() {
+  Aos->attach();
   if (Config.WarmStart)
-    Warm = Aos.warmStart(*Config.WarmStart);
+    Warm = Aos->warmStart(*Config.WarmStart);
   for (MethodId Entry : W.Entries)
     VM.addThread(Entry);
-  VM.run();
+}
 
+bool LiveRun::finished() const {
+  return std::all_of(VM.threads().begin(), VM.threads().end(),
+                     [](const auto &T) { return T->Finished; });
+}
+
+RunResult LiveRun::harvest() {
+  const CodeManager &Code = VM.codeManager();
+  const ExecutionCounters &Counters = VM.counters();
+  const AosStats &Stats = Aos->stats();
+  const OsrStats &Osr = Aos->osrStats();
   RunResult R;
   R.WorkloadName = W.Name;
   R.Policy = Config.Policy;
   R.MaxDepth = Config.MaxDepth;
   R.WallCycles = VM.cycles();
-  R.OptBytesGenerated = VM.codeManager().optimizedBytesGenerated();
-  R.OptBytesResident = VM.codeManager().optimizedBytesResident();
-  R.OptCompileCycles = VM.codeManager().optCompileCycles();
-  R.BaselineCompileCycles = VM.codeManager().baselineCompileCycles();
+  R.OptBytesGenerated = Code.optimizedBytesGenerated();
+  R.OptBytesResident = Code.optimizedBytesResident();
+  R.OptCompileCycles = Code.optCompileCycles();
+  R.BaselineCompileCycles = Code.baselineCompileCycles();
   for (unsigned C = 0; C != NumAosComponents; ++C)
     R.ComponentCycles[C] =
         VM.overheadMeter().cycles(static_cast<AosComponent>(C));
-  R.GcCycles = VM.counters().GcCycles;
-  R.OptCompilations = Aos.stats().OptCompilations;
-  R.GuardTests = VM.counters().GuardTestsExecuted;
-  R.GuardFallbacks = VM.counters().GuardFallbacks;
-  R.InlinedCalls = VM.counters().InlinedCallsEntered;
-  R.SamplesTaken = VM.counters().SamplesTaken;
+  R.GcCycles = Counters.GcCycles;
+  R.OptCompilations = Stats.OptCompilations;
+  R.GuardTests = Counters.GuardTestsExecuted;
+  R.GuardFallbacks = Counters.GuardFallbacks;
+  R.InlinedCalls = Counters.InlinedCallsEntered;
+  R.SamplesTaken = Counters.SamplesTaken;
   R.ProgramResult = VM.threads().front()->Result.asInt();
-  R.OsrEntries = Aos.osrStats().OsrEntries;
-  R.Deopts = Aos.osrStats().Deopts;
-  R.DeoptFramesRemapped = Aos.osrStats().DeoptFramesRemapped;
-  R.OsrTransitionCycles = Aos.osrStats().TransitionCyclesCharged;
-  R.OsrCyclesRecovered = Aos.osrStats().CyclesRecoveredEstimate;
-  R.LiveCodeBytes = VM.codeManager().liveCodeBytes();
-  R.PeakCodeBytes = VM.codeManager().peakCodeBytes();
-  R.Evictions = VM.codeManager().numEvictions();
-  R.RecompilesAfterEvict = VM.codeManager().recompilesAfterEvict();
-  R.FusedRuns = VM.codeManager().fusedRunsInstalled();
-  R.FusedOps = VM.codeManager().fusedOpsTotal();
-  R.FusedBytes = VM.codeManager().fusedBytesTotal();
-  R.FusedBatchesExecuted = VM.counters().FusedRunsExecuted;
-  R.ShareHits = Aos.stats().ShareHits;
-  R.SharePublishes = Aos.stats().SharePublishes;
-  R.ShareCyclesSaved = Aos.stats().ShareCyclesSaved;
-  R.SharedCodeBytes = VM.codeManager().sharedInBytesLive();
+  R.OsrEntries = Osr.OsrEntries;
+  R.Deopts = Osr.Deopts;
+  R.DeoptFramesRemapped = Osr.DeoptFramesRemapped;
+  R.OsrTransitionCycles = Osr.TransitionCyclesCharged;
+  R.OsrCyclesRecovered = Osr.CyclesRecoveredEstimate;
+  R.LiveCodeBytes = Code.liveCodeBytes();
+  R.PeakCodeBytes = Code.peakCodeBytes();
+  R.Evictions = Code.numEvictions();
+  R.RecompilesAfterEvict = Code.recompilesAfterEvict();
+  R.FusedRuns = Code.fusedRunsInstalled();
+  R.FusedOps = Code.fusedOpsTotal();
+  R.FusedBytes = Code.fusedBytesTotal();
+  R.FusedBatchesExecuted = Counters.FusedRunsExecuted;
+  R.ShareHits = Stats.ShareHits;
+  R.SharePublishes = Stats.SharePublishes;
+  R.ShareCyclesSaved = Stats.ShareCyclesSaved;
+  R.SharedCodeBytes = Code.sharedInBytesLive();
   R.PrivateCodeBytes = R.LiveCodeBytes - R.SharedCodeBytes;
-  R.BudgetUnitsSpent = Aos.stats().BudgetUnitsSpent;
-  R.BudgetCandidatesAccepted = Aos.stats().BudgetCandidatesAccepted;
-  R.BudgetCandidatesPruned = Aos.stats().BudgetCandidatesPruned;
-  R.EstimateErrorPct = Aos.calibration().meanAbsErrorPct();
+  R.BudgetUnitsSpent = Stats.BudgetUnitsSpent;
+  R.BudgetCandidatesAccepted = Stats.BudgetCandidatesAccepted;
+  R.BudgetCandidatesPruned = Stats.BudgetCandidatesPruned;
+  R.EstimateErrorPct = Aos->calibration().meanAbsErrorPct();
   R.WarmStarted = Config.WarmStart != nullptr;
   R.WarmStart = Warm;
-  R.DecayEntriesDropped = Aos.stats().DecayEntriesDropped;
+  R.DecayEntriesDropped = Stats.DecayEntriesDropped;
   if (Config.CaptureProfile)
-    R.CapturedProfile =
-        serializeProfileData(Aos.snapshotProfile(W.Name));
+    R.CapturedProfile = serializeProfileData(Aos->snapshotProfile(W.Name));
   if (Config.CapturePlans)
-    for (const auto &V : VM.codeManager().allVariants())
-      if (V->Level != OptLevel::Baseline &&
-          VM.codeManager().current(V->M) == V.get())
+    for (const auto &V : Code.allVariants())
+      if (V->Level != OptLevel::Baseline && Code.current(V->M) == V.get())
         R.Plans += describeVariant(W.Prog, *V);
 
   R.ClassesLoaded = W.Prog.numClasses();
   for (MethodId M = 0; M != W.Prog.numMethods(); ++M) {
-    if (!VM.codeManager().current(M))
+    if (!Code.current(M))
       continue;
     ++R.MethodsCompiled;
     R.BytecodesCompiled += W.Prog.method(M).bytecodeCount();
   }
   if (Config.CollectTraceStats)
-    R.TraceStats = Aos.traceListener().statistics();
+    R.TraceStats = Aos->traceListener().statistics();
   return R;
+}
+
+RunResult aoci::runExperiment(const RunConfig &Config) {
+  LiveRun Run(Config);
+  Run.start();
+  Run.vm().run();
+  return Run.harvest();
 }
 
 uint64_t aoci::deriveRunSeed(const RunConfig &Config, unsigned Trial) {
@@ -184,7 +202,7 @@ GridConfig::GridConfig() {
 const RunResult &GridResults::baseline(const std::string &Workload) const {
   auto It = Baselines.find(Workload);
   assert(It != Baselines.end() && "baseline not run");
-  return It->second;
+  return Runs[It->second];
 }
 
 const RunResult &GridResults::cell(const std::string &Workload,
@@ -193,7 +211,7 @@ const RunResult &GridResults::cell(const std::string &Workload,
   auto It = Cells.find(
       CellKey{Workload, static_cast<uint8_t>(Policy), Depth});
   assert(It != Cells.end() && "cell not run");
-  return It->second;
+  return Runs[It->second];
 }
 
 double GridResults::speedupPercent(const std::string &Workload,
@@ -224,14 +242,17 @@ double GridResults::compileTimePercent(const std::string &Workload,
       static_cast<double>(cell(Workload, Policy, Depth).OptCompileCycles));
 }
 
-void GridResults::addBaseline(RunResult R) {
-  Workloads.push_back(R.WorkloadName);
-  Baselines.emplace(R.WorkloadName, std::move(R));
-}
-
-void GridResults::addCell(RunResult R) {
-  CellKey Key{R.WorkloadName, static_cast<uint8_t>(R.Policy), R.MaxDepth};
-  Cells.emplace(std::move(Key), std::move(R));
+void GridResults::add(RunResult R, RunMetrics M) {
+  if (M.IsBaseline) {
+    Workloads.push_back(R.WorkloadName);
+    Baselines.emplace(R.WorkloadName, Runs.size());
+  } else {
+    Cells.emplace(CellKey{R.WorkloadName, static_cast<uint8_t>(R.Policy),
+                          R.MaxDepth},
+                  Runs.size());
+  }
+  Runs.push_back(std::move(R));
+  Metrics.push_back(M);
 }
 
 namespace {
@@ -273,50 +294,6 @@ std::vector<PlannedRun> planGrid(const GridConfig &Config) {
   return Plan;
 }
 
-RunMetrics makeMetrics(const PlannedRun &Run, const RunResult &Result,
-                       unsigned Worker, uint64_t QueueLatencyNs,
-                       uint64_t HostNs) {
-  RunMetrics M;
-  M.WorkloadName = Result.WorkloadName;
-  M.Policy = Run.Config.Policy;
-  M.MaxDepth = Run.Config.MaxDepth;
-  M.IsBaseline = Run.IsBaseline;
-  M.Worker = Worker;
-  M.QueueLatencyNs = QueueLatencyNs;
-  M.HostNs = HostNs;
-  M.RunCycles = Result.WallCycles;
-  M.OsrEntries = Result.OsrEntries;
-  M.Deopts = Result.Deopts;
-  M.Evictions = Result.Evictions;
-  M.FusedRuns = Result.FusedRuns;
-  M.FusedOps = Result.FusedOps;
-  M.FusedBytes = Result.FusedBytes;
-  M.WarmStarted = Result.WarmStarted;
-  M.WarmApplied = Result.WarmStart.applied();
-  M.WarmDropped = Result.WarmStart.dropped();
-  M.OptCompileCycles = Result.OptCompileCycles;
-  M.ShareHits = Result.ShareHits;
-  M.SharePublishes = Result.SharePublishes;
-  M.ShareCyclesSaved = Result.ShareCyclesSaved;
-  M.SharedBytes = Result.SharedCodeBytes;
-  M.PrivateBytes = Result.PrivateCodeBytes;
-  M.BudgetSpent = Result.BudgetUnitsSpent;
-  M.BudgetPruned = Result.BudgetCandidatesPruned;
-  M.EstimateErrPct = Result.EstimateErrorPct;
-  // The steady/warmup split comes from the run's own trace stream; a
-  // grid without tracing (or with a filter missing the needed kinds)
-  // reports the verdict as unknown rather than guessing.
-  if (Run.Config.Trace) {
-    const SteadyStateResult S =
-        detectSteadyState(*Run.Config.Trace, Result.WallCycles);
-    M.SteadyKnown = S.Computed;
-    M.SteadyReached = S.Reached;
-    M.WarmupCycles = S.WarmupCycles;
-    M.SteadyCycles = S.SteadyCycles;
-  }
-  return M;
-}
-
 /// Display name of one grid run's trace stream ("workload/policy.dN").
 std::string runTraceName(const PlannedRun &Run) {
   if (Run.IsBaseline)
@@ -326,40 +303,6 @@ std::string runTraceName(const PlannedRun &Run) {
          std::to_string(Run.Config.MaxDepth);
 }
 
-/// Builds one enabled per-run sink per planned run (the lock-free
-/// discipline: a sink is only ever appended to by the worker executing
-/// its run). Empty when the grid is not tracing.
-std::vector<TraceSink> planSinks(const GridConfig &Config,
-                                 std::vector<PlannedRun> &Plan) {
-  std::vector<TraceSink> Sinks;
-  if (!Config.Trace)
-    return Sinks;
-  Sinks.resize(Plan.size());
-  for (size_t I = 0; I != Plan.size(); ++I) {
-    Sinks[I].enable(Config.TraceKindMask);
-    Plan[I].Config.Trace = &Sinks[I];
-  }
-  return Sinks;
-}
-
-/// Folds executed runs (in plan order) into a GridResults.
-GridResults assembleGrid(std::vector<PlannedRun> &Plan,
-                         std::vector<RunResult> &Runs,
-                         std::vector<RunMetrics> &Metrics,
-                         std::vector<TraceSink> &Sinks) {
-  GridResults Results;
-  for (size_t I = 0; I != Plan.size(); ++I) {
-    if (Plan[I].IsBaseline)
-      Results.addBaseline(std::move(Runs[I]));
-    else
-      Results.addCell(std::move(Runs[I]));
-    Results.addMetrics(std::move(Metrics[I]));
-    if (!Sinks.empty())
-      Results.addTrace(std::move(Sinks[I]), runTraceName(Plan[I]));
-  }
-  return Results;
-}
-
 uint64_t elapsedNs(std::chrono::steady_clock::time_point From,
                    std::chrono::steady_clock::time_point To) {
   return static_cast<uint64_t>(
@@ -367,26 +310,78 @@ uint64_t elapsedNs(std::chrono::steady_clock::time_point From,
           .count());
 }
 
+/// A sweep in flight: the plan plus each planned run's result, host
+/// record and trace sink, all in plan order. Both runners execute runs
+/// through run(), so their GridResults are identical by construction.
+struct Sweep {
+  std::vector<PlannedRun> Plan;
+  std::vector<RunResult> Runs;
+  std::vector<RunMetrics> Metrics;
+  /// One enabled sink per run when tracing, else empty (the lock-free
+  /// discipline: a sink is only ever appended to by its run's worker).
+  std::vector<TraceSink> Sinks;
+
+  explicit Sweep(const GridConfig &Config)
+      : Plan(planGrid(Config)), Runs(Plan.size()), Metrics(Plan.size()) {
+    if (!Config.Trace)
+      return;
+    Sinks.resize(Plan.size());
+    for (size_t I = 0; I != Plan.size(); ++I) {
+      Sinks[I].enable(Config.TraceKindMask);
+      Plan[I].Config.Trace = &Sinks[I];
+    }
+  }
+
+  /// Executes plan entry \p I (best of \p Trials) and records its host
+  /// metrics. Safe to call concurrently for distinct \p I.
+  void run(size_t I, unsigned Trials, unsigned Worker,
+           uint64_t QueueLatencyNs) {
+    const auto Start = std::chrono::steady_clock::now();
+    Runs[I] = runBestOf(Plan[I].Config, Trials);
+    RunMetrics &M = Metrics[I];
+    M.IsBaseline = Plan[I].IsBaseline;
+    M.Worker = Worker;
+    M.QueueLatencyNs = QueueLatencyNs;
+    M.HostNs = elapsedNs(Start, std::chrono::steady_clock::now());
+    // The steady/warmup split comes from the run's own trace stream; a
+    // grid without tracing (or with a filter missing the needed kinds)
+    // reports the verdict as unknown rather than guessing.
+    if (Plan[I].Config.Trace) {
+      const SteadyStateResult S =
+          detectSteadyState(*Plan[I].Config.Trace, Runs[I].WallCycles);
+      M.SteadyKnown = S.Computed;
+      M.SteadyReached = S.Reached;
+      M.WarmupCycles = S.WarmupCycles;
+      M.SteadyCycles = S.SteadyCycles;
+    }
+  }
+
+  /// Folds the executed runs, in plan order, into a GridResults.
+  GridResults finish() {
+    GridResults Results;
+    for (size_t I = 0; I != Plan.size(); ++I) {
+      Results.add(std::move(Runs[I]), Metrics[I]);
+      if (!Sinks.empty())
+        Results.addTrace(std::move(Sinks[I]), runTraceName(Plan[I]));
+    }
+    return Results;
+  }
+};
+
 } // namespace
 
 GridResults
 aoci::runGrid(const GridConfig &Config,
               const std::function<void(const std::string &)> &Progress) {
-  std::vector<PlannedRun> Plan = planGrid(Config);
-  std::vector<RunResult> Runs(Plan.size());
-  std::vector<RunMetrics> Metrics(Plan.size());
-  std::vector<TraceSink> Sinks = planSinks(Config, Plan);
+  Sweep S(Config);
   // The serial runner keeps its richer progress lines: by the time a
   // cell finishes its workload's baseline has too, so the line can
   // already report the relative quantities.
   const RunResult *Baseline = nullptr;
-  for (size_t I = 0; I != Plan.size(); ++I) {
-    auto Start = std::chrono::steady_clock::now();
-    Runs[I] = runBestOf(Plan[I].Config, Config.Trials);
-    auto End = std::chrono::steady_clock::now();
-    Metrics[I] = makeMetrics(Plan[I], Runs[I], 0, 0, elapsedNs(Start, End));
-    const RunResult &R = Runs[I];
-    if (Plan[I].IsBaseline) {
+  for (size_t I = 0; I != S.Plan.size(); ++I) {
+    S.run(I, Config.Trials, /*Worker=*/0, /*QueueLatencyNs=*/0);
+    const RunResult &R = S.Runs[I];
+    if (S.Plan[I].IsBaseline) {
       Baseline = &R;
       if (Progress)
         Progress(formatString(
@@ -411,7 +406,7 @@ aoci::runGrid(const GridConfig &Config,
               .c_str()));
     }
   }
-  return assembleGrid(Plan, Runs, Metrics, Sinks);
+  return S.finish();
 }
 
 GridResults aoci::runGridParallel(
@@ -421,50 +416,43 @@ GridResults aoci::runGridParallel(
     Jobs = std::thread::hardware_concurrency();
   if (Jobs == 0)
     Jobs = 1;
-  std::vector<PlannedRun> Plan = planGrid(Config);
-  std::vector<RunResult> Runs(Plan.size());
-  std::vector<RunMetrics> Metrics(Plan.size());
-  std::vector<TraceSink> Sinks = planSinks(Config, Plan);
+  Sweep S(Config);
+  // Declared before the pool: if a run throws, get() below unwinds while
+  // the pool still drains the remaining runs, which may report progress.
+  std::mutex ProgressMutex;
   {
     ThreadPool Pool(Jobs);
-    std::mutex ProgressMutex;
     std::vector<std::future<void>> Futures;
-    Futures.reserve(Plan.size());
-    for (size_t I = 0; I != Plan.size(); ++I) {
+    Futures.reserve(S.Plan.size());
+    for (size_t I = 0; I != S.Plan.size(); ++I) {
       auto Enqueued = std::chrono::steady_clock::now();
       Futures.push_back(Pool.submit([&, I, Enqueued] {
-        auto Start = std::chrono::steady_clock::now();
-        RunResult R = runBestOf(Plan[I].Config, Config.Trials);
-        auto End = std::chrono::steady_clock::now();
-        Metrics[I] =
-            makeMetrics(Plan[I], R, ThreadPool::currentWorkerId(),
-                        elapsedNs(Enqueued, Start), elapsedNs(Start, End));
-        Runs[I] = std::move(R);
+        S.run(I, Config.Trials, ThreadPool::currentWorkerId(),
+              elapsedNs(Enqueued, std::chrono::steady_clock::now()));
         if (Progress) {
           // Relative quantities need the workload's baseline, which may
           // still be in flight on another worker; report absolutes.
+          const RunResult &R = S.Runs[I];
           std::lock_guard<std::mutex> Lock(ProgressMutex);
           Progress(formatString(
               "%-12s %-10s max=%u: %llu cycles, %llu opt bytes "
               "(%llu resident; worker %u, %.1f host ms)",
-              Runs[I].WorkloadName.c_str(),
-              Plan[I].IsBaseline ? "cins"
-                                 : policyKindName(Plan[I].Config.Policy),
-              Plan[I].Config.MaxDepth,
-              static_cast<unsigned long long>(Runs[I].WallCycles),
-              static_cast<unsigned long long>(Runs[I].OptBytesGenerated),
-              static_cast<unsigned long long>(Runs[I].OptBytesResident),
-              Metrics[I].Worker,
-              static_cast<double>(Metrics[I].HostNs) / 1e6));
+              R.WorkloadName.c_str(),
+              S.Plan[I].IsBaseline ? "cins" : policyKindName(R.Policy),
+              R.MaxDepth, static_cast<unsigned long long>(R.WallCycles),
+              static_cast<unsigned long long>(R.OptBytesGenerated),
+              static_cast<unsigned long long>(R.OptBytesResident),
+              S.Metrics[I].Worker,
+              static_cast<double>(S.Metrics[I].HostNs) / 1e6));
         }
       }));
     }
-    // get() rather than wait(): a run that threw re-throws here, after
-    // the pool has drained (the destructor joins the workers).
+    // get() rather than wait(): a run that threw re-throws here, and the
+    // pool's destructor then drains the rest before the unwind goes on.
     for (std::future<void> &F : Futures)
       F.get();
   }
-  return assembleGrid(Plan, Runs, Metrics, Sinks);
+  return S.finish();
 }
 
 void aoci::exportGridTrace(std::ostream &OS, const GridResults &Results) {

@@ -76,7 +76,7 @@ struct RunConfig {
   bool CapturePlans = false;
 };
 
-/// Everything measured in one run.
+/// Everything measured in one run (filled by LiveRun::harvest()).
 struct RunResult {
   std::string WorkloadName;
   PolicyKind Policy = PolicyKind::ContextInsensitive;
@@ -200,6 +200,41 @@ struct RunResult {
   }
 };
 
+/// One run's live machinery: the workload, its VM and its adaptive
+/// system, built from a RunConfig. runExperiment() drives one to
+/// completion; runServe() drives one per session, a slice at a time, with
+/// a share client hooked in between construction and start().
+class LiveRun {
+public:
+  /// Builds the workload (throws std::invalid_argument for an unknown
+  /// name), the VM and the adaptive system; attaches Config.Trace.
+  explicit LiveRun(const RunConfig &Config);
+  LiveRun(const LiveRun &) = delete;
+  LiveRun &operator=(const LiveRun &) = delete;
+
+  VirtualMachine &vm() { return VM; }
+  AdaptiveSystem &aos() { return *Aos; }
+
+  /// Attaches the adaptive system, applies the warm start and adds the
+  /// workload's threads: the last step before the first bytecode runs.
+  void start();
+
+  /// True once every workload thread has finished.
+  bool finished() const;
+
+  /// Everything the run measured. The one place the harness reads the
+  /// subsystems' counters.
+  RunResult harvest();
+
+private:
+  RunConfig Config;
+  Workload W;
+  VirtualMachine VM;
+  std::unique_ptr<ContextPolicy> Policy;
+  std::unique_ptr<AdaptiveSystem> Aos;
+  WarmStartStats Warm;
+};
+
 /// Runs one experiment to completion.
 RunResult runExperiment(const RunConfig &Config);
 
@@ -220,14 +255,12 @@ RunResult runBestOf(const RunConfig &Config, unsigned Trials);
 
 /// Host-side execution record of one grid run. Everything in here is
 /// about the *harness* (host wall time, queue latency, which worker ran
-/// the cell) and is deliberately kept out of RunResult and the
+/// the run) and is deliberately kept out of RunResult and the
 /// deterministic grid CSV: simulated results are bit-identical across
-/// thread counts, host timings never are. Exported separately via
-/// exportMetricsCsv() / reportRunMetrics().
+/// thread counts, host timings never are. GridResults pairs each record
+/// with its run (metrics()[I] describes runs()[I]); exportMetricsCsv()
+/// and reportRunMetrics() read the run's counters from there.
 struct RunMetrics {
-  std::string WorkloadName;
-  PolicyKind Policy = PolicyKind::ContextInsensitive;
-  unsigned MaxDepth = 1;
   /// True for the per-workload context-insensitive baseline run.
   bool IsBaseline = false;
   /// Pool worker that executed the run (0 in a serial sweep).
@@ -236,42 +269,6 @@ struct RunMetrics {
   uint64_t QueueLatencyNs = 0;
   /// Host ns spent executing the run (all trials).
   uint64_t HostNs = 0;
-  /// The run's simulated wall cycles (copied from the best trial).
-  uint64_t RunCycles = 0;
-  /// OSR activity of the best trial (zero with OSR disabled). Reported
-  /// by reportRunMetrics(); not part of the frozen metrics CSV.
-  uint64_t OsrEntries = 0;
-  uint64_t Deopts = 0;
-  /// Code-cache evictions of the best trial (zero with the cache off).
-  uint64_t Evictions = 0;
-  /// Fused-handler installs of the best trial (zero with fusion off).
-  /// Appended to the metrics CSV as `fused_runs,fused_ops,fused_bytes`.
-  uint64_t FusedRuns = 0;
-  uint64_t FusedOps = 0;
-  uint64_t FusedBytes = 0;
-  /// Warm-start provenance of the best trial (see RunResult), appended
-  /// to the metrics CSV as `warm_start,warm_applied,warm_dropped`, and
-  /// the optimizing-compiler cycles (`opt_compile_cycles`) whose cold-
-  /// vs-warm delta is the "compile cycles saved" a warm start buys.
-  bool WarmStarted = false;
-  uint64_t WarmApplied = 0;
-  uint64_t WarmDropped = 0;
-  uint64_t OptCompileCycles = 0;
-  /// Shared-code-cache activity of the best trial (zero outside serve
-  /// mode; see RunResult). Appended to the metrics CSV as
-  /// `share_hits,share_publishes,share_saved_cycles,shared_bytes,
-  /// private_bytes`.
-  uint64_t ShareHits = 0;
-  uint64_t SharePublishes = 0;
-  uint64_t ShareCyclesSaved = 0;
-  uint64_t SharedBytes = 0;
-  uint64_t PrivateBytes = 0;
-  /// Budget-organizer activity of the best trial (zero under the
-  /// threshold organizer; see RunResult). Appended to the metrics CSV as
-  /// `budget_spent,budget_pruned,estimate_err_pct`.
-  uint64_t BudgetSpent = 0;
-  uint64_t BudgetPruned = 0;
-  double EstimateErrPct = 0.0;
   /// Steady-state verdict for the best trial (see SteadyState.h). Known
   /// only when the run traced the kinds detection needs
   /// (steadyStateKindMask()); SteadyReached/Warmup/Steady are meaningful
@@ -342,8 +339,11 @@ public:
 
   const std::vector<std::string> &workloads() const { return Workloads; }
 
-  /// Host-side execution records, one per run, in grid order (per
-  /// workload: baseline first, then policies x depths as configured).
+  /// Every run once, in plan order (per workload: baseline first, then
+  /// policies x depths as configured).
+  const std::vector<RunResult> &runs() const { return Runs; }
+
+  /// Host-side execution records; metrics()[I] describes runs()[I].
   const std::vector<RunMetrics> &metrics() const { return Metrics; }
 
   /// Per-run event streams in plan order, with their display names
@@ -353,9 +353,9 @@ public:
   const std::vector<TraceSink> &traces() const { return Traces; }
   const std::vector<std::string> &traceNames() const { return TraceNames; }
 
-  void addBaseline(RunResult R);
-  void addCell(RunResult R);
-  void addMetrics(RunMetrics M) { Metrics.push_back(std::move(M)); }
+  /// Appends the next run in plan order with its host record; \p M's
+  /// IsBaseline says whether it is its workload's baseline or a cell.
+  void add(RunResult R, RunMetrics M);
   void addTrace(TraceSink T, std::string Name) {
     Traces.push_back(std::move(T));
     TraceNames.push_back(std::move(Name));
@@ -364,9 +364,11 @@ public:
 private:
   using CellKey = std::tuple<std::string, uint8_t, unsigned>;
   std::vector<std::string> Workloads;
-  std::map<std::string, RunResult> Baselines;
-  std::map<CellKey, RunResult> Cells;
+  std::vector<RunResult> Runs;
   std::vector<RunMetrics> Metrics;
+  /// Indices into Runs.
+  std::map<std::string, size_t> Baselines;
+  std::map<CellKey, size_t> Cells;
   std::vector<TraceSink> Traces;
   std::vector<std::string> TraceNames;
 };

@@ -11,6 +11,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <functional>
 
 using namespace aoci;
 
@@ -215,23 +216,19 @@ std::string aoci::reportSummary(const GridResults &Results,
 std::string aoci::reportRunMetrics(const GridResults &Results) {
   const std::vector<RunMetrics> &Metrics = Results.metrics();
   std::vector<std::vector<std::string>> Rows;
-  uint64_t TotalHostNs = 0, TotalQueueNs = 0, TotalCycles = 0;
-  uint64_t TotalOsrEntries = 0, TotalDeopts = 0;
-  uint64_t TotalEvictions = 0;
-  uint64_t TotalFusedRuns = 0, TotalFusedBytes = 0;
-  uint64_t TotalShareHits = 0, TotalSharePublishes = 0, TotalShareSaved = 0;
-  uint64_t TotalBudgetSpent = 0, TotalBudgetPruned = 0;
-  uint64_t WarmRuns = 0, TotalWarmApplied = 0, TotalWarmDropped = 0;
+  uint64_t TotalHostNs = 0, TotalQueueNs = 0;
   unsigned MaxWorker = 0;
   unsigned SteadyKnown = 0, SteadyReached = 0;
-  for (const RunMetrics &M : Metrics) {
+  for (size_t I = 0; I != Metrics.size(); ++I) {
+    const RunResult &R = Results.runs()[I];
+    const RunMetrics &M = Metrics[I];
     Rows.push_back(
-        {M.WorkloadName,
-         M.IsBaseline ? "cins" : policyKindName(M.Policy),
-         formatString("%u", M.MaxDepth), formatString("%u", M.Worker),
+        {R.WorkloadName,
+         M.IsBaseline ? "cins" : policyKindName(R.Policy),
+         formatString("%u", R.MaxDepth), formatString("%u", M.Worker),
          formatString("%.1f", static_cast<double>(M.QueueLatencyNs) / 1e3),
          formatString("%.2f", static_cast<double>(M.HostNs) / 1e6),
-         formatString("%.2f", static_cast<double>(M.RunCycles) / 1e6),
+         formatString("%.2f", static_cast<double>(R.WallCycles) / 1e6),
          !M.SteadyKnown    ? "n/a"
          : !M.SteadyReached ? "no"
                             : formatString(
@@ -239,20 +236,6 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
                                   static_cast<double>(M.WarmupCycles) / 1e6)});
     TotalHostNs += M.HostNs;
     TotalQueueNs += M.QueueLatencyNs;
-    TotalCycles += M.RunCycles;
-    TotalOsrEntries += M.OsrEntries;
-    TotalDeopts += M.Deopts;
-    TotalEvictions += M.Evictions;
-    TotalFusedRuns += M.FusedRuns;
-    TotalFusedBytes += M.FusedBytes;
-    TotalShareHits += M.ShareHits;
-    TotalSharePublishes += M.SharePublishes;
-    TotalShareSaved += M.ShareCyclesSaved;
-    TotalBudgetSpent += M.BudgetSpent;
-    TotalBudgetPruned += M.BudgetPruned;
-    WarmRuns += M.WarmStarted;
-    TotalWarmApplied += M.WarmApplied;
-    TotalWarmDropped += M.WarmDropped;
     SteadyKnown += M.SteadyKnown;
     SteadyReached += M.SteadyReached;
     MaxWorker = std::max(MaxWorker, M.Worker);
@@ -263,6 +246,13 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
                      Rows);
   if (Metrics.empty())
     return Out;
+  // The sweep's total of one run counter (a RunResult field or getter).
+  auto Total = [&Results](auto Get) {
+    unsigned long long Sum = 0;
+    for (const RunResult &R : Results.runs())
+      Sum += std::invoke(Get, R);
+    return Sum;
+  };
   double N = static_cast<double>(Metrics.size());
   Out += formatString(
       "  %zu runs on %u worker(s): %.1f host ms of run work, "
@@ -270,43 +260,43 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
       Metrics.size(), MaxWorker + 1,
       static_cast<double>(TotalHostNs) / 1e6,
       static_cast<double>(TotalQueueNs) / 1e3 / N,
-      static_cast<double>(TotalCycles) / 1e6);
-  if (TotalOsrEntries != 0 || TotalDeopts != 0)
+      static_cast<double>(Total(&RunResult::WallCycles)) / 1e6);
+  const auto OsrEntries = Total(&RunResult::OsrEntries);
+  const auto Deopts = Total(&RunResult::Deopts);
+  if (OsrEntries + Deopts != 0)
     Out += formatString(
         "  osr: %llu on-stack replacements, %llu deoptimizations across "
         "the sweep\n",
-        static_cast<unsigned long long>(TotalOsrEntries),
-        static_cast<unsigned long long>(TotalDeopts));
-  if (TotalEvictions != 0)
+        OsrEntries, Deopts);
+  if (const auto Evictions = Total(&RunResult::Evictions))
     Out += formatString(
-        "  code cache: %llu evictions across the sweep\n",
-        static_cast<unsigned long long>(TotalEvictions));
-  if (TotalFusedRuns != 0)
+        "  code cache: %llu evictions across the sweep\n", Evictions);
+  if (const auto FusedRuns = Total(&RunResult::FusedRuns))
     Out += formatString(
         "  fusion: %llu fused runs installed (%llu host bytes of "
         "handlers) across the sweep\n",
-        static_cast<unsigned long long>(TotalFusedRuns),
-        static_cast<unsigned long long>(TotalFusedBytes));
-  if (TotalShareHits + TotalSharePublishes != 0)
+        FusedRuns, Total(&RunResult::FusedBytes));
+  const auto ShareHits = Total(&RunResult::ShareHits);
+  const auto SharePublishes = Total(&RunResult::SharePublishes);
+  if (ShareHits + SharePublishes != 0)
     Out += formatString(
         "  shared code cache: %llu hits / %llu publishes, %llu compile "
         "cycles saved across the sweep\n",
-        static_cast<unsigned long long>(TotalShareHits),
-        static_cast<unsigned long long>(TotalSharePublishes),
-        static_cast<unsigned long long>(TotalShareSaved));
-  if (TotalBudgetSpent + TotalBudgetPruned != 0)
+        ShareHits, SharePublishes, Total(&RunResult::ShareCyclesSaved));
+  const auto BudgetSpent = Total(&RunResult::BudgetUnitsSpent);
+  const auto BudgetPruned = Total(&RunResult::BudgetCandidatesPruned);
+  if (BudgetSpent + BudgetPruned != 0)
     Out += formatString(
         "  budget organizer: %llu candidate units accepted, %llu "
         "candidates pruned across the sweep\n",
-        static_cast<unsigned long long>(TotalBudgetSpent),
-        static_cast<unsigned long long>(TotalBudgetPruned));
-  if (WarmRuns != 0)
+        BudgetSpent, BudgetPruned);
+  if (const auto WarmRuns = Total(&RunResult::WarmStarted))
     Out += formatString(
         "  warm start: %llu run(s) seeded from a profile (%llu entries "
         "applied, %llu dropped as stale)\n",
-        static_cast<unsigned long long>(WarmRuns),
-        static_cast<unsigned long long>(TotalWarmApplied),
-        static_cast<unsigned long long>(TotalWarmDropped));
+        WarmRuns,
+        Total([](const RunResult &R) { return R.WarmStart.applied(); }),
+        Total([](const RunResult &R) { return R.WarmStart.dropped(); }));
   if (SteadyKnown != 0)
     Out += formatString(
         "  steady state: %u of %u traced runs settled (warm Mcy column "

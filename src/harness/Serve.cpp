@@ -71,20 +71,16 @@ bool aoci::parseTenantList(const std::string &List,
 
 namespace {
 
-/// One live session of the serve schedule. Heap-allocated so Workload's
-/// Program (which the VM holds by reference) never moves.
+/// One live session of the serve schedule. Heap-allocated so the sink
+/// the run's VM records into never moves.
 struct LiveSession {
   unsigned Id = 0;
   std::string TenantName;
   bool IsScenario = false;
   unsigned StartRound = 0;
-  Workload W;
   TraceSink Trace;
-  std::unique_ptr<VirtualMachine> VM;
-  std::unique_ptr<ContextPolicy> Policy;
-  std::unique_ptr<AdaptiveSystem> Aos;
+  std::unique_ptr<LiveRun> Run;
   std::unique_ptr<ShareSession> Bridge;
-  WarmStartStats Warm;
   /// Absolute clock bound of the next slice (advances by SliceCycles per
   /// round; a session whose clock overshot a slice — one long compile —
   /// simply idles until the bound catches up, deterministically).
@@ -92,13 +88,6 @@ struct LiveSession {
   uint64_t RoundsRun = 0;
   bool Started = false;
   bool Done = false;
-
-  bool finished() const {
-    for (const auto &T : VM->threads())
-      if (!T->Finished)
-        return false;
-    return true;
-  }
 };
 
 } // namespace
@@ -124,24 +113,25 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
       S->TenantName = T.Name;
       S->IsScenario = findBuiltinScenario(T.Name) != nullptr;
       S->StartRound = S->Id * Config.StaggerRounds;
-      S->W = makeWorkload(T.Name, Config.Params);
-      S->VM = std::make_unique<VirtualMachine>(S->W.Prog, Config.Model);
+      RunConfig Run;
+      Run.WorkloadName = T.Name;
+      Run.Params = Config.Params;
+      Run.Policy = Config.Policy;
+      Run.MaxDepth = Config.MaxDepth;
+      Run.Aos = Config.Aos;
+      Run.Model = Config.Model;
+      Run.WarmStart = Config.WarmStart;
       if (Config.Trace) {
         S->Trace.enable(Config.TraceKindMask);
-        S->VM->setTraceSink(&S->Trace);
+        Run.Trace = &S->Trace;
       }
-      S->Policy = makePolicy(Config.Policy, Config.MaxDepth);
-      S->Aos =
-          std::make_unique<AdaptiveSystem>(*S->VM, *S->Policy, Config.Aos);
+      S->Run = std::make_unique<LiveRun>(Run);
       if (Config.ShareEnabled) {
-        S->Bridge = std::make_unique<ShareSession>(Cache, S->Id, *S->VM);
-        S->Aos->setShareClient(S->Bridge.get());
+        S->Bridge =
+            std::make_unique<ShareSession>(Cache, S->Id, S->Run->vm());
+        S->Run->aos().setShareClient(S->Bridge.get());
       }
-      S->Aos->attach();
-      if (Config.WarmStart)
-        S->Warm = S->Aos->warmStart(*Config.WarmStart);
-      for (MethodId Entry : S->W.Entries)
-        S->VM->addThread(Entry);
+      S->Run->start();
       Sessions.push_back(std::move(S));
     }
   }
@@ -173,7 +163,8 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
         Futures.reserve(Active.size());
         for (LiveSession *S : Active) {
           S->NextLimit += Config.SliceCycles;
-          Futures.push_back(Pool.submit([S] { S->VM->run(S->NextLimit); }));
+          Futures.push_back(
+              Pool.submit([S] { S->Run->vm().run(S->NextLimit); }));
         }
         // get() rather than wait(): a session that threw re-throws here.
         for (std::future<void> &F : Futures)
@@ -188,7 +179,7 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
           S->Bridge->commitRound(Round);
       }
       for (LiveSession *S : Active) {
-        if (!S->finished())
+        if (!S->Run->finished())
           continue;
         if (S->Bridge)
           S->Bridge->sessionEnded();
@@ -234,30 +225,16 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
   R.Rounds = Round;
   for (auto &S : Sessions) {
     ServeSessionResult Row;
+    static_cast<RunResult &>(Row) = S->Run->harvest();
     Row.SessionId = S->Id;
     Row.TenantName = S->TenantName;
     Row.IsScenario = S->IsScenario;
     Row.StartRound = S->StartRound;
     Row.RoundsRun = S->RoundsRun;
-    Row.WallCycles = S->VM->cycles();
-    Row.ProgramResult = S->VM->threads().front()->Result.asInt();
-    Row.OptCompilations = S->Aos->stats().OptCompilations;
-    Row.OptCompileCycles = S->VM->codeManager().optCompileCycles();
-    Row.ShareHits = S->Aos->stats().ShareHits;
-    Row.SharePublishes = S->Aos->stats().SharePublishes;
-    Row.ShareCyclesSaved = S->Aos->stats().ShareCyclesSaved;
     if (S->Bridge) {
       Row.SharedEvictionsApplied = S->Bridge->sharedEvictionsApplied();
       Row.PinnedSharedEvicts = S->Bridge->pinnedSharedEvicts();
     }
-    Row.SharedCodeBytes = S->VM->codeManager().sharedInBytesLive();
-    Row.PrivateCodeBytes =
-        S->VM->codeManager().liveCodeBytes() - Row.SharedCodeBytes;
-    Row.Evictions = S->VM->codeManager().numEvictions();
-    Row.Deopts = S->Aos->osrStats().Deopts;
-    Row.OsrEntries = S->Aos->osrStats().OsrEntries;
-    Row.WarmStartApplied = S->Warm.applied();
-    Row.WarmStartDropped = S->Warm.dropped();
     R.Sessions.push_back(std::move(Row));
     if (Config.Trace) {
       R.Traces.push_back(std::move(S->Trace));

@@ -21,7 +21,7 @@
 #ifndef AOCI_HARNESS_SERVE_H
 #define AOCI_HARNESS_SERVE_H
 
-#include "core/AdaptiveSystem.h"
+#include "harness/Experiment.h"
 #include "share/SharedCodeCache.h"
 #include "trace/TraceSink.h"
 #include "workload/Workload.h"
@@ -71,7 +71,8 @@ struct ServeConfig {
   /// starts everyone together (maximizing same-round duplicates).
   unsigned StaggerRounds = 1;
   /// Master switch for the shared code cache (`--share-cache off`).
-  /// Off, every session runs exactly as a solo runExperiment() would.
+  /// Off, every session's RunResult equals a solo runExperiment()'s,
+  /// multi-threaded tenants included: slicing a run never changes it.
   bool ShareEnabled = true;
   /// Shared-index capacity in code bytes (0 = unbounded). Eviction
   /// tombstones the entry and force-evicts every installing session.
@@ -85,33 +86,18 @@ struct ServeConfig {
   ServeConfig() { Aos.Osr.Enabled = true; }
 };
 
-/// What one session did, harvested after its last round.
-struct ServeSessionResult {
+/// What one session did, harvested after its last round: the run's
+/// RunResult plus its place in the serve schedule.
+struct ServeSessionResult : RunResult {
   unsigned SessionId = 0;
   std::string TenantName;
   bool IsScenario = false;
   unsigned StartRound = 0;
   uint64_t RoundsRun = 0;
-  uint64_t WallCycles = 0;
-  int64_t ProgramResult = 0;
-  unsigned OptCompilations = 0;
-  uint64_t OptCompileCycles = 0;
-  /// Share activity (AosStats and the session bridge; all zero with
-  /// sharing off).
-  uint64_t ShareHits = 0;
-  uint64_t SharePublishes = 0;
-  uint64_t ShareCyclesSaved = 0;
+  /// Shared evictions this session applied, and those a live activation
+  /// pinned until the variant died locally (zero with sharing off).
   uint64_t SharedEvictionsApplied = 0;
   uint64_t PinnedSharedEvicts = 0;
-  /// Live code bytes at session end, split by CodeVariant::SharedIn.
-  uint64_t SharedCodeBytes = 0;
-  uint64_t PrivateCodeBytes = 0;
-  /// Private bounded-cache and OSR activity, for the serve report.
-  uint64_t Evictions = 0;
-  uint64_t Deopts = 0;
-  uint64_t OsrEntries = 0;
-  uint64_t WarmStartApplied = 0;
-  uint64_t WarmStartDropped = 0;
 };
 
 /// Results of one serve invocation: per-session rows plus the shared

@@ -192,20 +192,28 @@ const CodeVariant *VirtualMachine::ensureBaseline(MethodId M) {
 }
 
 void VirtualMachine::run(uint64_t CycleLimit) {
+  // The round-robin cursor and the open quantum's end persist across
+  // calls: a quantum the limit cut resumes in the next run(), so a run
+  // sliced into run(L1)...run(Ln) replays one run()'s schedule exactly.
   while (Clock < CycleLimit) {
-    bool AnyAlive = false;
-    for (auto &TPtr : Threads) {
-      ThreadState &T = *TPtr;
-      if (T.Finished)
-        continue;
-      AnyAlive = true;
+    if (RunCursor == Threads.size()) {
+      RunCursor = 0;
+      if (std::all_of(Threads.begin(), Threads.end(),
+                      [](const auto &T) { return T->Finished; }))
+        break;
+    }
+    ThreadState &T = *Threads[RunCursor];
+    if (!T.Finished) {
+      if (!QuantumOpen)
+        QuantumEnd = Clock + Model.ThreadQuantumCycles;
       // Hoist the quantum/limit bound out of the stepping loop: one
       // comparison per instruction instead of three.
-      interpret(T, std::min(Clock + Model.ThreadQuantumCycles, CycleLimit),
-                UINT64_MAX);
+      interpret(T, std::min(QuantumEnd, CycleLimit), UINT64_MAX);
+      QuantumOpen = !T.Finished && Clock < QuantumEnd;
+      if (QuantumOpen)
+        continue; // cut by CycleLimit: resume this thread next call
     }
-    if (!AnyAlive)
-      break;
+    ++RunCursor;
   }
 }
 

@@ -352,6 +352,11 @@ private:
     const uint64_t Period = Model.SamplePeriodCycles;
     return Period / 2 + SampleJitter.nextBelow(Period);
   }
+  /// run()'s round-robin position and the end of the quantum it last
+  /// opened, kept so a sliced run resumes where the limit cut it.
+  size_t RunCursor = 0;
+  uint64_t QuantumEnd = 0;
+  bool QuantumOpen = false;
 };
 
 /// Walks \p T's stack and returns the source-level frames from innermost

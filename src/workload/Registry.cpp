@@ -9,7 +9,7 @@
 
 #include "workload/scenario/ScenarioWorkload.h"
 
-#include <cassert>
+#include <stdexcept>
 
 using namespace aoci;
 
@@ -42,6 +42,5 @@ Workload aoci::makeWorkload(const std::string &Name, WorkloadParams Params) {
   // and its fingerprint goldens are unchanged.
   if (const ScenarioSpec *S = findBuiltinScenario(Name))
     return makeScenarioWorkload(*S, Params);
-  assert(false && "unknown workload name");
-  return Workload();
+  throw std::invalid_argument("unknown workload '" + Name + "'");
 }

@@ -50,7 +50,8 @@ struct WorkloadParams {
 /// The suite in Table 1 order.
 const std::vector<std::string> &workloadNames();
 
-/// Builds workload \p Name (must come from workloadNames()).
+/// Builds workload \p Name: a workloadNames() entry or a built-in
+/// scenario ("scn-..."). Throws std::invalid_argument naming any other.
 Workload makeWorkload(const std::string &Name, WorkloadParams Params);
 
 /// Individual generators.

@@ -545,8 +545,8 @@ TEST(CodeCacheGridTest, ParallelGridCsvMatchesSerialWithEvictionOn) {
   // out of the frozen CSV, reported via metrics) must agree too.
   auto totalEvictions = [](const GridResults &R) {
     uint64_t Total = 0;
-    for (const RunMetrics &M : R.metrics())
-      Total += M.Evictions;
+    for (const RunResult &Run : R.runs())
+      Total += Run.Evictions;
     return Total;
   };
   EXPECT_GT(totalEvictions(Serial), 0u);

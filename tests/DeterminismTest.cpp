@@ -176,7 +176,7 @@ TEST(DeterminismTest, ParallelGridWithTrialsMatchesSerial) {
 
 //===----------------------------------------------------------------------===//
 // RunMetrics bookkeeping (host-side record, outside the determinism
-// envelope — only its config-derived identity columns are checked).
+// envelope — only its pairing with runs() is checked).
 //===----------------------------------------------------------------------===//
 
 TEST(DeterminismTest, MetricsCoverEveryRunInGridOrder) {
@@ -185,20 +185,15 @@ TEST(DeterminismTest, MetricsCoverEveryRunInGridOrder) {
   size_t RunsPerWorkload = 1 + Config.Policies.size() * Config.Depths.size();
   ASSERT_EQ(Parallel.metrics().size(),
             Config.Workloads.size() * RunsPerWorkload);
+  ASSERT_EQ(Parallel.runs().size(), Parallel.metrics().size());
   size_t I = 0;
   for (const std::string &W : Config.Workloads) {
-    const RunMetrics &Base = Parallel.metrics()[I++];
-    EXPECT_EQ(Base.WorkloadName, W);
-    EXPECT_TRUE(Base.IsBaseline);
-    EXPECT_EQ(Base.RunCycles, Parallel.baseline(W).WallCycles);
+    EXPECT_TRUE(Parallel.metrics()[I].IsBaseline);
+    EXPECT_EQ(&Parallel.runs()[I++], &Parallel.baseline(W));
     for (PolicyKind Policy : Config.Policies) {
       for (unsigned D : Config.Depths) {
-        const RunMetrics &M = Parallel.metrics()[I++];
-        EXPECT_EQ(M.WorkloadName, W);
-        EXPECT_FALSE(M.IsBaseline);
-        EXPECT_EQ(M.Policy, Policy);
-        EXPECT_EQ(M.MaxDepth, D);
-        EXPECT_EQ(M.RunCycles, Parallel.cell(W, Policy, D).WallCycles);
+        EXPECT_FALSE(Parallel.metrics()[I].IsBaseline);
+        EXPECT_EQ(&Parallel.runs()[I++], &Parallel.cell(W, Policy, D));
       }
     }
   }

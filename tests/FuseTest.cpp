@@ -709,8 +709,8 @@ TEST(FuseGridTest, FusionAndJobCountNeverChangeTheGridCsv) {
   // (worker ids, host timings), but the fusion ledger is a pure function
   // of installed code: serial and --jobs 4 must agree row for row, and a
   // fused sweep over optimizing policies must actually install handlers.
-  const std::vector<RunMetrics> &Serial = OnResults.metrics();
-  const std::vector<RunMetrics> &Parallel = OnParallel.metrics();
+  const std::vector<RunResult> &Serial = OnResults.runs();
+  const std::vector<RunResult> &Parallel = OnParallel.runs();
   ASSERT_EQ(Serial.size(), Parallel.size());
   uint64_t InstalledTotal = 0;
   for (size_t I = 0; I != Serial.size(); ++I) {
@@ -724,10 +724,10 @@ TEST(FuseGridTest, FusionAndJobCountNeverChangeTheGridCsv) {
   EXPECT_GT(InstalledTotal, 0u)
       << "fused sweep never installed a handler; the metrics plumbing "
          "is dead";
-  for (const RunMetrics &M : OffResults.metrics()) {
-    EXPECT_EQ(M.FusedRuns, 0u);
-    EXPECT_EQ(M.FusedOps, 0u);
-    EXPECT_EQ(M.FusedBytes, 0u);
+  for (const RunResult &R : OffResults.runs()) {
+    EXPECT_EQ(R.FusedRuns, 0u);
+    EXPECT_EQ(R.FusedOps, 0u);
+    EXPECT_EQ(R.FusedBytes, 0u);
   }
 }
 

@@ -80,12 +80,12 @@ GridResults syntheticGrid() {
   GridResults Results;
   uint64_t Tag = 0;
   for (const char *W : {"alpha", "beta"}) {
-    Results.addBaseline(
-        syntheticRun(W, PolicyKind::ContextInsensitive, 1, Tag++));
+    Results.add(syntheticRun(W, PolicyKind::ContextInsensitive, 1, Tag++),
+                RunMetrics{/*IsBaseline=*/true});
     for (PolicyKind Policy :
          {PolicyKind::Fixed, PolicyKind::Parameterless})
       for (unsigned D : {2u, 3u})
-        Results.addCell(syntheticRun(W, Policy, D, Tag++));
+        Results.add(syntheticRun(W, Policy, D, Tag++), RunMetrics{});
   }
   return Results;
 }
@@ -102,51 +102,51 @@ TEST(GoldenTest, CsvExportFormat) {
 
 TEST(GoldenTest, MetricsCsvFormat) {
   GridResults Results;
+  RunResult R;
+  R.WorkloadName = "alpha";
+  R.Policy = PolicyKind::ContextInsensitive;
+  R.MaxDepth = 1;
+  R.WallCycles = 1000000;
   RunMetrics M;
-  M.WorkloadName = "alpha";
-  M.Policy = PolicyKind::ContextInsensitive;
-  M.MaxDepth = 1;
   M.IsBaseline = true;
   M.Worker = 0;
   M.QueueLatencyNs = 1200;
   M.HostNs = 4500000;
-  M.RunCycles = 1000000;
-  Results.addMetrics(M);
-  M.Policy = PolicyKind::Fixed;
-  M.MaxDepth = 3;
+  Results.add(R, M);
+  R.Policy = PolicyKind::Fixed;
+  R.MaxDepth = 3;
+  R.WallCycles = 980000;
+  R.FusedRuns = 12;
+  R.FusedOps = 87;
+  R.FusedBytes = 4176;
+  R.WarmStarted = true;
+  R.WarmStart.TracesApplied = 57;
+  R.WarmStart.TracesDropped = 3;
+  R.OptCompileCycles = 180000;
   M.IsBaseline = false;
   M.Worker = 2;
   M.QueueLatencyNs = 800;
   M.HostNs = 3900000;
-  M.RunCycles = 980000;
   M.SteadyKnown = true;
   M.SteadyReached = true;
   M.WarmupCycles = 120000;
   M.SteadyCycles = 860000;
-  M.FusedRuns = 12;
-  M.FusedOps = 87;
-  M.FusedBytes = 4176;
-  M.WarmStarted = true;
-  M.WarmApplied = 57;
-  M.WarmDropped = 3;
-  M.OptCompileCycles = 180000;
-  Results.addMetrics(M);
-  M.MaxDepth = 4;
+  Results.add(R, M);
+  R.MaxDepth = 4;
+  R.WallCycles = 990000;
+  R.FusedRuns = 0;
+  R.FusedOps = 0;
+  R.FusedBytes = 0;
+  R.WarmStarted = false;
+  R.WarmStart = WarmStartStats();
+  R.OptCompileCycles = 0;
   M.Worker = 1;
   M.QueueLatencyNs = 950;
   M.HostNs = 4100000;
-  M.RunCycles = 990000;
   M.SteadyReached = false;
   M.WarmupCycles = 990000;
   M.SteadyCycles = 0;
-  M.FusedRuns = 0;
-  M.FusedOps = 0;
-  M.FusedBytes = 0;
-  M.WarmStarted = false;
-  M.WarmApplied = 0;
-  M.WarmDropped = 0;
-  M.OptCompileCycles = 0;
-  Results.addMetrics(M);
+  Results.add(R, M);
   expectMatchesGolden("metrics_csv.golden", exportMetricsCsv(Results));
 }
 

@@ -8,11 +8,13 @@
 #include "harness/CsvExport.h"
 #include "harness/Experiment.h"
 #include "harness/Reporters.h"
+#include "harness/Serve.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 using namespace aoci;
 
@@ -64,6 +66,31 @@ TEST(ExperimentTest, TraceStatsOnlyWhenRequested) {
   Config.CollectTraceStats = true;
   RunResult With = runExperiment(Config);
   EXPECT_GT(With.TraceStats.numSamples(), 0u);
+}
+
+TEST(ExperimentTest, UnknownWorkloadThrowsEverywhere) {
+  // A library caller can name any workload; an unknown one must be a
+  // catchable error naming it on every entry point, never a crash.
+  auto expectThrowsNaming = [](const std::function<void()> &Run) {
+    try {
+      Run();
+      ADD_FAILURE() << "no exception for an unknown workload";
+    } catch (const std::invalid_argument &E) {
+      EXPECT_NE(std::string(E.what()).find("bogus"), std::string::npos)
+          << E.what();
+    }
+  };
+  expectThrowsNaming([] { runExperiment(smallConfig("bogus")); });
+  GridConfig Grid;
+  Grid.Workloads = {"compress", "bogus"};
+  Grid.Policies = {PolicyKind::Fixed};
+  Grid.Depths = {2};
+  Grid.Params.Scale = 0.05;
+  expectThrowsNaming([&Grid] { runGridParallel(Grid, 2); });
+  ServeConfig Serve;
+  Serve.Tenants = {{"compress", 1}, {"bogus", 1}};
+  Serve.Params.Scale = 0.05;
+  expectThrowsNaming([&Serve] { runServe(Serve, 1); });
 }
 
 TEST(GridTest, GridComputesRelativeMetrics) {

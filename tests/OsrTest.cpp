@@ -547,8 +547,8 @@ TEST(OsrGridTest, ParallelGridCsvMatchesSerialWithOsrOn) {
   // out of the frozen CSV, reported via metrics) must agree too.
   auto totalEntries = [](const GridResults &R) {
     uint64_t Total = 0;
-    for (const RunMetrics &M : R.metrics())
-      Total += M.OsrEntries;
+    for (const RunResult &Run : R.runs())
+      Total += Run.OsrEntries;
     return Total;
   };
   EXPECT_GT(totalEntries(Serial), 0u);

@@ -220,8 +220,8 @@ TEST(SteadyStateTest, RealScenarioRunSplitsDeterministically) {
 }
 
 TEST(SteadyStateTest, MetricsCarryTheVerdict) {
-  // runExperiment itself fills the RunMetrics-facing fields through
-  // makeMetrics; check the plumbing via a tiny traced grid.
+  // The grid runner fills the verdict through makeMetrics; check the
+  // plumbing via a tiny traced grid.
   GridConfig Config;
   Config.Workloads = {"scn-megamorphic-storm"};
   Config.Policies = {PolicyKind::Fixed};
@@ -231,11 +231,13 @@ TEST(SteadyStateTest, MetricsCarryTheVerdict) {
   Config.TraceKindMask = steadyStateKindMask();
   GridResults Results = runGrid(Config);
   ASSERT_EQ(Results.metrics().size(), 2u); // baseline + one cell.
-  for (const RunMetrics &M : Results.metrics()) {
+  for (size_t I = 0; I != Results.metrics().size(); ++I) {
+    const RunMetrics &M = Results.metrics()[I];
     EXPECT_TRUE(M.SteadyKnown);
     if (M.SteadyReached) {
       EXPECT_GT(M.SteadyCycles, 0u);
-      EXPECT_EQ(M.WarmupCycles + M.SteadyCycles, M.RunCycles);
+      EXPECT_EQ(M.WarmupCycles + M.SteadyCycles,
+                Results.runs()[I].WallCycles);
     }
   }
 }

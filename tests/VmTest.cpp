@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/ProgramBuilder.h"
+#include "core/AdaptiveSystem.h"
 #include "vm/VirtualMachine.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 using namespace aoci;
 
@@ -818,4 +821,74 @@ TEST(VmTest, RunRespectsCycleLimit) {
   EXPECT_LE(VM.cycles(), 500000u + 100000u)
       << "clock may overshoot by at most one instruction+quantum slop";
   EXPECT_FALSE(VM.threads()[0]->Finished);
+}
+
+//===----------------------------------------------------------------------===//
+// Sliced runs (serve mode advances sessions one cycle limit at a time)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What a run of mtrt under the adaptive system ends with.
+struct SliceOutcome {
+  uint64_t Cycles = 0;
+  uint64_t Instructions = 0;
+  uint64_t Samples = 0;
+  uint64_t OptCompileCycles = 0;
+  uint64_t OptCompilations = 0;
+  int64_t Result0 = 0;
+  int64_t Result1 = 0;
+};
+
+/// Runs mtrt (two green threads) under policy fixed, depth 4, OSR on,
+/// in slices of \p Slice cycles; 0 runs it with one unbounded run().
+SliceOutcome runMtrtSliced(uint64_t Slice) {
+  const Workload W = makeWorkload("mtrt", WorkloadParams{1, 0.1});
+  VirtualMachine VM(W.Prog);
+  std::unique_ptr<ContextPolicy> Policy = makePolicy(PolicyKind::Fixed, 4);
+  AosSystemConfig Config;
+  Config.Osr.Enabled = true;
+  AdaptiveSystem Aos(VM, *Policy, Config);
+  Aos.attach();
+  for (MethodId Entry : W.Entries)
+    VM.addThread(Entry);
+  EXPECT_EQ(VM.threads().size(), 2u);
+  if (Slice == 0) {
+    VM.run();
+  } else {
+    auto Finished = [&VM] {
+      return std::all_of(VM.threads().begin(), VM.threads().end(),
+                         [](const auto &T) { return T->Finished; });
+    };
+    for (uint64_t Limit = Slice; !Finished(); Limit += Slice)
+      VM.run(Limit);
+  }
+  return {VM.cycles(),
+          VM.counters().InstructionsExecuted,
+          VM.counters().SamplesTaken,
+          VM.codeManager().optCompileCycles(),
+          Aos.stats().OptCompilations,
+          VM.threads()[0]->Result.asInt(),
+          VM.threads()[1]->Result.asInt()};
+}
+
+} // namespace
+
+TEST(VmSliceTest, SlicedMultiThreadedRunEqualsOneRun) {
+  // A cycle limit can cut a thread's quantum; the next run() must resume
+  // that thread's quantum rather than restart the round-robin at thread 0,
+  // or every counter below drifts from the unsliced run.
+  const SliceOutcome Whole = runMtrtSliced(0);
+  for (uint64_t Slice : {2000000ull, 123457ull}) {
+    const SliceOutcome Sliced = runMtrtSliced(Slice);
+    EXPECT_EQ(Sliced.Cycles, Whole.Cycles) << "slice " << Slice;
+    EXPECT_EQ(Sliced.Instructions, Whole.Instructions) << "slice " << Slice;
+    EXPECT_EQ(Sliced.Samples, Whole.Samples) << "slice " << Slice;
+    EXPECT_EQ(Sliced.OptCompileCycles, Whole.OptCompileCycles)
+        << "slice " << Slice;
+    EXPECT_EQ(Sliced.OptCompilations, Whole.OptCompilations)
+        << "slice " << Slice;
+    EXPECT_EQ(Sliced.Result0, Whole.Result0) << "slice " << Slice;
+    EXPECT_EQ(Sliced.Result1, Whole.Result1) << "slice " << Slice;
+  }
 }
