@@ -16,6 +16,7 @@
 #include "harness/Experiment.h"
 #include "trace/TraceJson.h"
 #include "trace/TraceSink.h"
+#include "vm/Overhead.h"
 
 #include <gtest/gtest.h>
 
@@ -392,6 +393,95 @@ TEST(TraceGoldenTest, AdaptiveLoopTraceJsonMatchesGolden) {
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "compress/fixed.d2");
   expectMatchesGolden("trace_compress_fixed_d2.golden", Json.str());
+}
+
+TEST(TraceGoldenTest, EveryKindRendersAsPinned) {
+  // One hand-built event per kind (several for the enum args), so every
+  // kind's rendering is pinned even where no stock run produces it.
+  // Covers every enum label, both bool values, a negative signed arg, the
+  // m<id> method-name fallback, and plan-site with and without a callee.
+  TraceSink Sink;
+  Sink.enable();
+  const char *const Names[] = {"Main.main", "Shape.area", "Circle.area"};
+  Sink.captureMethodNames(3, [&](uint32_t M) { return Names[M]; });
+  uint64_t Cycle = 0;
+  auto Add = [&](const TraceEvent &Payload) {
+    Cycle += 10;
+    TraceEvent &E = Sink.append(Payload.Kind, Payload.Track, Cycle);
+    const uint64_t Seq = E.Seq;
+    E = Payload;
+    E.Cycle = Cycle;
+    E.Seq = Seq;
+  };
+  using K = TraceEventKind;
+  const TraceTrack Listeners = traceTrack(AosComponent::Listeners);
+  const TraceTrack Compilation = traceTrack(AosComponent::Compilation);
+  const TraceTrack Ai = traceTrack(AosComponent::AiOrganizer);
+  const TraceTrack Controller = traceTrack(AosComponent::Controller);
+  const int64_t NoCallee = -1;
+
+  Add({.Kind = K::Sample, .Method = 0, .A = 1, .B = 0});
+  Add({.Kind = K::Sample, .Thread = 1, .Method = 7, .A = 0, .B = 1});
+  Add({.Kind = K::ListenerRecord, .Track = Listeners, .Method = 0, .A = 0,
+       .B = 2, .C = 1});
+  Add({.Kind = K::ListenerRecord, .Track = Listeners, .Method = 1, .A = 1,
+       .B = 3, .C = 2});
+  Add({.Kind = K::OrganizerWakeup,
+       .Track = traceTrack(AosComponent::MethodOrganizer), .A = 0, .B = 0,
+       .C = 5, .D = 1});
+  Add({.Kind = K::OrganizerWakeup, .Track = Ai, .A = 1, .B = 0, .C = 3,
+       .D = 2});
+  Add({.Kind = K::OrganizerWakeup,
+       .Track = traceTrack(AosComponent::DecayOrganizer), .A = 2, .B = 1,
+       .C = 8, .D = 0});
+  Add({.Kind = K::OrganizerWakeup, .Track = Ai, .A = 3, .B = 2, .C = 4,
+       .D = 1});
+  Add({.Kind = K::ControllerDecision, .Track = Controller, .Method = 1,
+       .A = 0, .B = 2, .X = 12.5, .Y = 4000, .Z = 1500.25});
+  Add({.Kind = K::CompileRequest, .Track = Controller, .Method = 1, .A = 2,
+       .B = 0, .C = 0, .D = 1});
+  Add({.Kind = K::CompileRequest, .Track = Controller, .Method = 2, .A = 2,
+       .B = 1, .C = 1, .D = 2});
+  Add({.Dur = 500, .Kind = K::CompileComplete, .Track = Compilation,
+       .Method = 1, .A = 2, .B = 640, .C = -32, .D = 2, .E = 1});
+  Add({.Kind = K::PlanInstall, .Track = Compilation, .Method = 0, .A = 2,
+       .B = 4, .C = 3, .D = 2});
+  Add({.Kind = K::PlanSite, .Track = Compilation, .Method = 0, .A = 3,
+       .B = 0, .C = 1, .D = 0, .E = 2});
+  Add({.Kind = K::PlanSite, .Track = Compilation, .Method = 0, .A = 5,
+       .B = 1, .C = 1, .D = 1, .E = 1});
+  Add({.Kind = K::PlanSite, .Track = Compilation, .Method = 0, .A = 7,
+       .B = 1, .C = 2, .D = 1, .E = 2});
+  Add({.Kind = K::PlanSite, .Track = Compilation, .Method = 0, .A = 9,
+       .B = 0, .C = 0, .D = 0, .E = NoCallee});
+  Add({.Kind = K::GuardFallback, .Method = 1, .A = 4, .B = 2});
+  Add({.Dur = 200, .Kind = K::GcPause, .A = 1048576, .B = 0});
+  Add({.Kind = K::OsrEnter, .Method = 0, .A = 0, .B = 2, .C = 5, .D = 1,
+       .X = 2500.5});
+  Add({.Kind = K::OsrExit, .Method = 0, .A = 0, .B = 2, .C = 900,
+       .D = 300});
+  Add({.Kind = K::Deopt, .Method = 0, .A = 2, .B = 6, .C = 2, .E = 1});
+  Add({.Kind = K::CodeEvict, .Track = Compilation, .Method = 2, .A = 2,
+       .B = 128, .C = 1, .D = 4096, .E = 0});
+  Add({.Kind = K::PhaseShift, .Method = 1, .A = 1, .B = 3});
+  Add({.Kind = K::FuseInstall, .Track = Compilation, .Method = 1, .A = 2,
+       .B = 3, .C = 9, .D = 144});
+  Add({.Kind = K::ProfileLoad, .Track = Ai, .A = 2, .B = 5, .C = 3, .D = 4,
+       .E = 1, .X = 2});
+  Add({.Kind = K::SharePublish, .Track = Compilation, .Method = 1, .A = 2,
+       .B = 640, .C = 0, .D = 1});
+  Add({.Kind = K::ShareHit, .Track = Compilation, .Method = 1, .A = 2,
+       .B = 640, .C = 12000, .D = 0});
+  Add({.Kind = K::ShareEvict, .Track = Compilation, .Method = 1, .A = 2,
+       .B = 640, .C = 0, .D = 2});
+  Add({.Kind = K::BudgetDecision, .Track = Ai, .Method = 0, .A = 1, .B = 40,
+       .C = 60, .D = 1, .E = 1, .X = 0.75});
+  Add({.Kind = K::BudgetDecision, .Track = Ai, .Method = 0, .A = 2, .B = 90,
+       .C = 60, .D = 0, .E = 0, .X = 0.125});
+
+  std::ostringstream Json;
+  writeChromeTrace(Json, Sink, "every-kind");
+  expectMatchesGolden("trace_every_kind.golden", Json.str());
 }
 
 } // namespace
