@@ -17,8 +17,8 @@ using namespace aoci;
 
 namespace {
 
-/// The organizer ids of organizer-wakeup events (exported as names by the
-/// JSON layer; see OBSERVABILITY.md).
+/// The organizer ids of organizer-wakeup events (exported as the names in
+/// tracekind::OrganizerLabels; see OBSERVABILITY.md).
 enum OrganizerId : int64_t {
   OrgMethod = 0,
   OrgAi = 1,

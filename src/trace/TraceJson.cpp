@@ -3,6 +3,10 @@
 // Part of the AOCI project: a reproduction of "Adaptive Online
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
 //
+// Both writers here are driven by tracekind::Table (trace/TraceEvent.h):
+// an event's `args` object and each kind's schema branch are rendered from
+// the kind's row, so no kind is named in this file.
+//
 //===----------------------------------------------------------------------===//
 
 #include "trace/TraceJson.h"
@@ -47,222 +51,54 @@ std::string aoci::jsonEscape(const std::string &S) {
 
 namespace {
 
-/// Fixed %.6g rendering so floating args serialize identically everywhere.
-std::string formatDouble(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  return Buf;
-}
-
-const char *organizerName(int64_t Id) {
-  switch (Id) {
-  case 0:
-    return "method-organizer";
-  case 1:
-    return "ai-organizer";
-  case 2:
-    return "decay-organizer";
-  case 3:
-    return "missing-edge";
-  }
-  return "<invalid>";
-}
-
-/// Streams one JSON string member `"key":"escaped"`.
-void strArg(std::ostream &OS, bool &First, const char *Key,
-            const std::string &Value) {
-  OS << (First ? "" : ",") << '"' << Key << "\":\"" << jsonEscape(Value)
-     << '"';
-  First = false;
-}
-
-void intArg(std::ostream &OS, bool &First, const char *Key, int64_t Value) {
-  OS << (First ? "" : ",") << '"' << Key << "\":" << Value;
-  First = false;
-}
-
-void boolArg(std::ostream &OS, bool &First, const char *Key, bool Value) {
-  OS << (First ? "" : ",") << '"' << Key << "\":" << (Value ? "true" : "false");
-  First = false;
-}
-
-void numArg(std::ostream &OS, bool &First, const char *Key, double Value) {
-  OS << (First ? "" : ",") << '"' << Key << "\":" << formatDouble(Value);
-  First = false;
-}
-
-/// Renders the method arg: captured qualified name, or "m<id>" fallback.
-void methodArg(std::ostream &OS, bool &First, const char *Key,
-               const TraceSink &Sink, uint32_t M) {
-  if (M == UINT32_MAX)
-    return;
-  const std::string &Name = Sink.methodName(M);
-  if (Name.empty())
-    strArg(OS, First, Key, "m" + std::to_string(M));
-  else
-    strArg(OS, First, Key, Name);
-}
-
-/// The per-kind named `args` object; the field tables in OBSERVABILITY.md
-/// mirror this function case by case.
+/// The named `args` object of \p E, rendered from its tracekind row.
 void writeArgs(std::ostream &OS, const TraceSink &Sink, const TraceEvent &E) {
+  // Indexed by tracekind::Slot: the integer slots, then X..Z.
+  const int64_t Ints[] = {E.Method, E.Thread, E.A, E.B, E.C, E.D, E.E,
+                          E.D == 0 ? 0 : E.C <= 1 ? 1 : 2};
+  const double Reals[] = {E.X, E.Y, E.Z};
   OS << "{";
-  bool First = true;
-  switch (E.Kind) {
-  case TraceEventKind::Sample:
-    methodArg(OS, First, "method", Sink, E.Method);
-    boolArg(OS, First, "atPrologue", E.A != 0);
-    intArg(OS, First, "sampleIndex", E.B);
-    intArg(OS, First, "thread", E.Thread);
-    break;
-  case TraceEventKind::ListenerRecord:
-    methodArg(OS, First, "method", Sink, E.Method);
-    strArg(OS, First, "listener", E.A == 0 ? "method" : "trace");
-    intArg(OS, First, "depth", E.B);
-    intArg(OS, First, "buffered", E.C);
-    break;
-  case TraceEventKind::OrganizerWakeup:
-    strArg(OS, First, "organizer", organizerName(E.A));
-    intArg(OS, First, "wakeup", E.B);
-    intArg(OS, First, "examined", E.C);
-    intArg(OS, First, "acted", E.D);
-    break;
-  case TraceEventKind::ControllerDecision:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "curLevel", E.A);
-    intArg(OS, First, "chosenLevel", E.B);
-    numArg(OS, First, "samples", E.X);
-    numArg(OS, First, "futureAtCurrent", E.Y);
-    numArg(OS, First, "bestCost", E.Z);
-    break;
-  case TraceEventKind::CompileRequest:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    boolArg(OS, First, "sameLevel", E.B != 0);
-    strArg(OS, First, "origin", E.C == 0 ? "controller" : "missing-edge");
-    intArg(OS, First, "queueDepth", E.D);
-    break;
-  case TraceEventKind::CompileComplete:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "codeBytes", E.B);
-    intArg(OS, First, "sizeDelta", E.C);
-    intArg(OS, First, "bodies", E.D);
-    intArg(OS, First, "guards", E.E);
-    break;
-  case TraceEventKind::PlanInstall:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "sites", E.B);
-    intArg(OS, First, "bodies", E.C);
-    intArg(OS, First, "guards", E.D);
-    break;
-  case TraceEventKind::PlanSite: {
-    methodArg(OS, First, "root", Sink, E.Method);
-    intArg(OS, First, "site", E.A);
-    intArg(OS, First, "depth", E.B);
-    const bool Guarded = E.D != 0;
-    strArg(OS, First, "verdict",
-           !Guarded        ? "unguarded"
-           : E.C <= 1      ? "guarded-mono"
-                           : "guarded-poly");
-    intArg(OS, First, "cases", E.C);
-    methodArg(OS, First, "callee", Sink, static_cast<uint32_t>(E.E));
-    break;
-  }
-  case TraceEventKind::GuardFallback:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "site", E.A);
-    methodArg(OS, First, "target", Sink, static_cast<uint32_t>(E.B));
-    intArg(OS, First, "thread", E.Thread);
-    break;
-  case TraceEventKind::GcPause:
-    intArg(OS, First, "bytesSinceGc", E.A);
-    intArg(OS, First, "pauseIndex", E.B);
-    break;
-  case TraceEventKind::OsrEnter:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "fromLevel", E.A);
-    intArg(OS, First, "toLevel", E.B);
-    intArg(OS, First, "pc", E.C);
-    intArg(OS, First, "serial", E.D);
-    numArg(OS, First, "expectedSavings", E.X);
-    intArg(OS, First, "thread", E.Thread);
-    break;
-  case TraceEventKind::OsrExit:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "fromLevel", E.A);
-    intArg(OS, First, "level", E.B);
-    intArg(OS, First, "cyclesInVariant", E.C);
-    intArg(OS, First, "recovered", E.D);
-    intArg(OS, First, "thread", E.Thread);
-    break;
-  case TraceEventKind::Deopt:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "frames", E.A);
-    intArg(OS, First, "pc", E.B);
-    intArg(OS, First, "fromLevel", E.C);
-    methodArg(OS, First, "topMethod", Sink, static_cast<uint32_t>(E.E));
-    intArg(OS, First, "thread", E.Thread);
-    break;
-  case TraceEventKind::CodeEvict:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "codeBytes", E.B);
-    intArg(OS, First, "serial", E.C);
-    intArg(OS, First, "liveBytes", E.D);
-    intArg(OS, First, "evictionIndex", E.E);
-    break;
-  case TraceEventKind::PhaseShift:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "phase", E.A);
-    intArg(OS, First, "phases", E.B);
-    break;
-  case TraceEventKind::FuseInstall:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "runs", E.B);
-    intArg(OS, First, "opsFused", E.C);
-    intArg(OS, First, "fusedBytes", E.D);
-    break;
-  case TraceEventKind::ProfileLoad:
-    intArg(OS, First, "version", E.A);
-    intArg(OS, First, "traces", E.B);
-    intArg(OS, First, "decisions", E.C);
-    intArg(OS, First, "hotMethods", E.D);
-    intArg(OS, First, "refusals", E.E);
-    numArg(OS, First, "dropped", E.X);
-    break;
-  case TraceEventKind::SharePublish:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "codeBytes", E.B);
-    intArg(OS, First, "publishSeq", E.C);
-    intArg(OS, First, "entries", E.D);
-    break;
-  case TraceEventKind::ShareHit:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "codeBytes", E.B);
-    intArg(OS, First, "cyclesSaved", E.C);
-    intArg(OS, First, "publishSeq", E.D);
-    break;
-  case TraceEventKind::ShareEvict:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "codeBytes", E.B);
-    intArg(OS, First, "publishSeq", E.C);
-    intArg(OS, First, "installers", E.D);
-    break;
-  case TraceEventKind::BudgetDecision:
-    methodArg(OS, First, "method", Sink, E.Method);
-    methodArg(OS, First, "callee", Sink, static_cast<uint32_t>(E.A));
-    intArg(OS, First, "units", E.B);
-    intArg(OS, First, "remaining", E.C);
-    boolArg(OS, First, "accepted", E.D != 0);
-    boolArg(OS, First, "measured", E.E != 0);
-    numArg(OS, First, "weight", E.X);
-    break;
+  const char *Sep = "";
+  const tracekind::Spec &Row = tracekind::Table[static_cast<unsigned>(E.Kind)];
+  for (const tracekind::Arg &Arg : Row.args()) {
+    const int64_t V = Arg.From < tracekind::X ? Ints[Arg.From] : 0;
+    const auto M = static_cast<uint32_t>(V);
+    if (Arg.Type == tracekind::Method && M == UINT32_MAX)
+      continue;
+    OS << Sep << '"' << Arg.Key << "\":";
+    Sep = ",";
+    switch (Arg.Type) {
+    case tracekind::Method: {
+      const std::string &Name = Sink.methodName(M);
+      if (Name.empty())
+        OS << "\"m" << M << '"';
+      else
+        OS << '"' << jsonEscape(Name) << '"';
+      break;
+    }
+    case tracekind::Enum:
+      OS << '"'
+         << (V >= 0 && static_cast<size_t>(V) < Arg.Labels.size()
+                 ? Arg.Labels[V]
+                 : "<invalid>")
+         << '"';
+      break;
+    case tracekind::Bool:
+      OS << (V != 0 ? "true" : "false");
+      break;
+    case tracekind::Number: {
+      // Fixed %.6g, so floating args serialize identically everywhere.
+      char Buf[32];
+      std::snprintf(Buf, sizeof(Buf), "%.6g", Reals[Arg.From - tracekind::X]);
+      OS << Buf;
+      break;
+    }
+    case tracekind::Int:
+    case tracekind::Count:
+    case tracekind::SignedInt:
+      OS << V;
+      break;
+    }
   }
   OS << "}";
 }
@@ -312,4 +148,142 @@ void aoci::writeChromeTrace(std::ostream &OS,
 void aoci::writeChromeTrace(std::ostream &OS, const TraceSink &Sink,
                             const std::string &ProcessName) {
   writeChromeTrace(OS, {TraceProcess{&Sink, ProcessName}});
+}
+
+namespace {
+
+/// `"a", "b"`: the body of a JSON array of the strings \p Items.
+std::string quotedList(const std::vector<const char *> &Items) {
+  std::string Out;
+  for (const char *Item : Items)
+    Out += std::string(Out.empty() ? "\"" : ", \"") + Item + '"';
+  return Out;
+}
+
+/// The schema of an arg's value, by tracekind::ArgType (an Enum's lists
+/// its labels).
+std::string argSchema(const tracekind::Arg &Arg) {
+  static const char *const ByType[] = {
+      R"({ "$ref": "#/definitions/methodName" })",
+      R"({ "type": "integer", "minimum": 0 })",
+      R"({ "type": "integer", "minimum": 1 })",
+      R"({ "type": "integer" })",
+      R"({ "type": "number", "minimum": 0 })",
+      R"({ "type": "boolean" })"};
+  static_assert(std::size(ByType) == tracekind::Enum);
+  if (Arg.Type != tracekind::Enum)
+    return ByType[Arg.Type];
+  return "{ \"enum\": [" +
+         quotedList({Arg.Labels.begin(), Arg.Labels.end()}) + "] }";
+}
+
+} // namespace
+
+void aoci::writeTraceSchema(std::ostream &OS) {
+  std::vector<const char *> Names;
+  for (const tracekind::Spec &Row : tracekind::Table)
+    Names.push_back(Row.Name);
+  OS << R"json({
+  "$schema": "http://json-schema.org/draft-07/schema#",
+  "$id": "https://aoci.invalid/trace-event.schema.json",
+  "title": "AOCI Chrome trace-event export",
+  "description": "Schema of the JSON emitted by `aoci trace` / `aoci grid --trace-out` / `aoci serve --trace-out`. Generated by writeTraceSchema() in src/trace/TraceJson.cpp from the kind table in src/trace/TraceEvent.h; regenerate with AOCI_UPDATE_GOLDEN=1 ./build/tests/test_trace. tools/validate_trace.jq reads the per-kind contract from this file.",
+  "type": "object",
+  "required": ["displayTimeUnit", "traceEvents"],
+  "properties": {
+    "displayTimeUnit": { "const": "ns" },
+    "traceEvents": {
+      "type": "array",
+      "items": { "oneOf": [{ "$ref": "#/definitions/metadataEvent" }, { "$ref": "#/definitions/dataEvent" }] }
+    }
+  },
+  "additionalProperties": false,
+  "definitions": {
+    "pid": { "type": "integer", "minimum": 0 },
+    "tid": {
+      "type": "integer", "minimum": 0, "maximum": )json"
+     << NumAosTraceTracks << R"json(,
+      "description": "0 = VirtualMachine, 1..)json"
+     << NumAosTraceTracks << R"json( = the AosComponent tracks (see OBSERVABILITY.md)"
+    },
+    "cycles": {
+      "type": "integer", "minimum": 0,
+      "description": "Simulated cycles (Perfetto renders them as microseconds)"
+    },
+    "methodName": {
+      "type": "string",
+      "description": "Qualified method name, or m<id> when no name table was captured"
+    },
+    "metadataEvent": {
+      "type": "object",
+      "required": ["name", "ph", "pid", "tid", "args"],
+      "properties": {
+        "name": { "enum": ["process_name", "thread_name"] },
+        "ph": { "const": "M" },
+        "pid": { "$ref": "#/definitions/pid" },
+        "tid": { "$ref": "#/definitions/tid" },
+        "args": {
+          "type": "object", "required": ["name"],
+          "properties": { "name": { "type": "string" } }, "additionalProperties": false
+        }
+      },
+      "additionalProperties": false
+    },
+    "dataEvent": {
+      "type": "object",
+      "required": ["name", "ph", "pid", "tid", "ts", "args"],
+      "properties": {
+        "name": { "enum": [)json"
+     << quotedList(Names) << R"json(] },
+        "ph": { "enum": ["i", "X"] },
+        "s": { "const": "t" },
+        "pid": { "$ref": "#/definitions/pid" },
+        "tid": { "$ref": "#/definitions/tid" },
+        "ts": { "$ref": "#/definitions/cycles" },
+        "dur": { "type": "integer", "minimum": 1 },
+        "args": { "type": "object" }
+      },
+      "additionalProperties": false,
+      "allOf": [
+        {
+          "description": "Instant events carry thread scope; duration events carry dur",
+          "oneOf": [
+            { "properties": { "ph": { "const": "i" } }, "required": ["s"], "not": { "required": ["dur"] } },
+            { "properties": { "ph": { "const": "X" } }, "required": ["dur"], "not": { "required": ["s"] } }
+          ]
+        },
+        {
+          "description": "One branch per event kind: its tracks and its args",
+          "oneOf": [)json";
+  for (const tracekind::Spec &Row : tracekind::Table) {
+    std::string Tids;
+    for (unsigned T = 0; T <= NumAosTraceTracks; ++T)
+      if (Row.Tids & (1u << T))
+        Tids += (Tids.empty() ? "" : ", ") + std::to_string(T);
+    std::vector<const char *> Required;
+    for (const tracekind::Arg &Arg : Row.args())
+      if (!Arg.Optional)
+        Required.push_back(Arg.Key);
+    OS << (&Row == tracekind::Table ? "\n" : ",\n") << R"json(            {
+              "properties": {
+                "name": { "const": ")json"
+       << Row.Name << R"json(" },
+                "tid": { "enum": [)json"
+       << Tids << R"json(] },
+                "args": {
+                  "type": "object",
+                  "required": [)json"
+       << quotedList(Required) << R"json(],
+                  "properties": {)json";
+    for (const tracekind::Arg &Arg : Row.args())
+      OS << (&Arg == Row.Args ? "\n" : ",\n") << "                    \""
+         << Arg.Key << "\": " << argSchema(Arg);
+    OS << R"json(
+                  },
+                  "additionalProperties": false
+                }
+              }
+            })json";
+  }
+  OS << "\n          ]\n        }\n      ]\n    }\n  }\n}\n";
 }

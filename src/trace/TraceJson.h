@@ -13,6 +13,8 @@
 /// that process's named threads, so Figure 6's overhead breakdown reads
 /// as a set of timeline tracks. `ts` is the simulated cycle (Perfetto
 /// will label it microseconds; OBSERVABILITY.md states the unit mapping).
+/// Each event's named `args` follow its kind's row in tracekind::Table
+/// (trace/TraceEvent.h), as does the JSON Schema writeTraceSchema() emits.
 ///
 /// Output is byte-deterministic: metadata first (pid, then tid order),
 /// then every event stable-sorted by (cycle, seq), with fixed integer and
@@ -47,6 +49,12 @@ void writeChromeTrace(std::ostream &OS, const std::vector<TraceProcess> &Procs);
 /// Single-run convenience wrapper (pid 0).
 void writeChromeTrace(std::ostream &OS, const TraceSink &Sink,
                       const std::string &ProcessName);
+
+/// Writes the JSON Schema (draft-07) of writeChromeTrace()'s output: the
+/// envelope plus, generated from tracekind::Table, one branch per kind
+/// with its tids and typed args. docs/trace-event.schema.json is the
+/// checked-in copy, which tools/validate_trace.jq reads.
+void writeTraceSchema(std::ostream &OS);
 
 /// JSON-escapes \p S (quotes, backslashes, control characters).
 std::string jsonEscape(const std::string &S);

@@ -32,13 +32,15 @@
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace aoci {
 
 /// Parses a comma-separated `--trace-filter` list ("sample,plan-site")
 /// into a kind bitmask. Returns false and names the offender in \p Error
-/// on an unknown token. An empty list means "all kinds".
+/// on an unknown token or an empty item (a stray comma). An empty list
+/// means "all kinds".
 bool parseTraceFilter(const std::string &List, uint32_t &Mask,
                       std::string &Error);
 

@@ -231,6 +231,9 @@ const RejectCase RejectCases[] = {
     {"tenants", "serve --tenants bogus:2", "--tenants", "bogus"},
     {"trace_filter", "trace compress --trace-filter bogus-kind",
      "--trace-filter", "bogus-kind"},
+    {"trace_filter_empty_item",
+     "trace compress --trace-filter sample,,gc-pause", "--trace-filter",
+     "sample,,gc-pause"},
     {"osr", "grid --osr maybe", "--osr", "maybe"},
     {"fuse_level", "run compress --fuse level=9", "--fuse", "level=9"},
     {"share_cache", "serve --tenants compress --share-cache maybe",

@@ -9,7 +9,10 @@
 //   (2) determinism — the exported JSON is a pure function of the run
 //       config, byte-identical between serial and parallel sweeps;
 //   (3) fidelity — the stream is ordered by (cycle, seq), honours the
-//       kind filter, and survives the ring cap by dropping oldest first.
+//       kind filter, and survives the ring cap by dropping oldest first;
+//   (4) one contract — the checked-in JSON Schema is the one generated
+//       from the kind table, the jq validator enforces it, and
+//       OBSERVABILITY.md's field tables and track map follow the table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <sys/wait.h>
 
 using namespace aoci;
 
@@ -64,6 +72,19 @@ TEST(TraceFilterTest, UnknownTokenIsNamedInTheError) {
   std::string Error;
   EXPECT_FALSE(parseTraceFilter("sample,bogus-kind", Mask, Error));
   EXPECT_NE(Error.find("bogus-kind"), std::string::npos);
+}
+
+TEST(TraceFilterTest, EmptyItemIsRejectedNamingTheList) {
+  // Same rule as --tenants: a stray comma is an error, not a skipped item.
+  for (const char *List : {"sample,,gc-pause", "sample,", ",sample"}) {
+    uint32_t Mask = 0;
+    std::string Error;
+    EXPECT_FALSE(parseTraceFilter(List, Mask, Error)) << List;
+    EXPECT_NE(Error.find("empty trace filter item"), std::string::npos)
+        << Error;
+    EXPECT_NE(Error.find(std::string("'") + List + "'"), std::string::npos)
+        << Error;
+  }
 }
 
 TEST(TraceFilterTest, AllCommasIsAnEmptyFilterError) {
@@ -345,10 +366,12 @@ TEST(TraceGridTest, GridKindMaskRestrictsEveryStream) {
 // (3) Golden JSON: the exported bytes themselves are pinned.
 //===----------------------------------------------------------------------===//
 
+const std::string SourceDir = AOCI_SOURCE_DIR;
+const std::string GoldenDir = AOCI_GOLDEN_DIR;
+
 /// Same update-or-compare protocol as FingerprintTest / GoldenTest:
-/// AOCI_UPDATE_GOLDEN=1 rewrites the fixture instead of comparing.
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
+/// AOCI_UPDATE_GOLDEN=1 rewrites the file at \p Path instead of comparing.
+void expectMatchesFile(const std::string &Path, const std::string &Actual) {
   if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
       Update && Update[0] == '1') {
     std::ofstream OutFile(Path, std::ios::binary);
@@ -362,11 +385,15 @@ void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
   std::stringstream Buffer;
   Buffer << In.rdbuf();
   EXPECT_EQ(Buffer.str(), Actual)
-      << "trace export drifted from " << Path
-      << "; either the adaptive system's event stream or the JSON "
-         "serialization changed. If intentional, rerun with "
-         "AOCI_UPDATE_GOLDEN=1, review the fixture diff, and update "
+      << Path << " no longer matches what the trace library writes; "
+         "either the adaptive system's event stream, the JSON "
+         "serialization or the kind table changed. If intentional, rerun "
+         "with AOCI_UPDATE_GOLDEN=1, review the diff, and update "
          "OBSERVABILITY.md if the schema moved";
+}
+
+void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
+  expectMatchesFile(GoldenDir + "/" + Name, Actual);
 }
 
 TEST(TraceGoldenTest, AdaptiveLoopTraceJsonMatchesGolden) {
@@ -482,6 +509,200 @@ TEST(TraceGoldenTest, EveryKindRendersAsPinned) {
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "every-kind");
   expectMatchesGolden("trace_every_kind.golden", Json.str());
+}
+
+//===----------------------------------------------------------------------===//
+// (4) One contract: the kind table drives the schema, and the validator and
+//     OBSERVABILITY.md agree with it.
+//===----------------------------------------------------------------------===//
+
+TEST(TraceSchemaTest, CheckedInSchemaIsTheGeneratedOne) {
+  std::ostringstream Schema;
+  writeTraceSchema(Schema);
+  expectMatchesFile(SourceDir + "/docs/trace-event.schema.json", Schema.str());
+}
+
+std::vector<std::string> readLines(const std::string &Path) {
+  std::ifstream In(Path);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line);
+  return Lines;
+}
+
+/// The trimmed cells of a markdown table row: "| a | b |" -> {a, b}.
+std::vector<std::string> tableCells(const std::string &Row) {
+  std::vector<std::string> Cells;
+  std::stringstream In(Row.substr(Row.find('|') + 1));
+  for (std::string Cell; std::getline(In, Cell, '|');) {
+    const size_t First = Cell.find_first_not_of(' ');
+    const size_t Last = Cell.find_last_not_of(' ');
+    Cells.push_back(First == std::string::npos
+                        ? ""
+                        : Cell.substr(First, Last - First + 1));
+  }
+  return Cells;
+}
+
+/// The `backticked` spans of \p Text.
+std::vector<std::string> codeSpans(const std::string &Text) {
+  std::vector<std::string> Spans;
+  for (size_t Open = Text.find('`'); Open != std::string::npos;) {
+    const size_t Close = Text.find('`', Open + 1);
+    if (Close == std::string::npos)
+      break;
+    Spans.push_back(Text.substr(Open + 1, Close - Open - 1));
+    Open = Text.find('`', Close + 1);
+  }
+  return Spans;
+}
+
+/// The type column OBSERVABILITY.md gives an arg.
+std::string docType(const tracekind::Arg &Arg) {
+  switch (Arg.Type) {
+  case tracekind::Method:
+  case tracekind::Enum:
+    return "string";
+  case tracekind::Int:
+    return "int";
+  case tracekind::Count:
+    return "int ≥ 1";
+  case tracekind::SignedInt:
+    return "signed int";
+  case tracekind::Number:
+    return "float";
+  case tracekind::Bool:
+    return "bool";
+  }
+  return "?";
+}
+
+TEST(TraceSchemaTest, ObservabilityFieldTablesFollowTheKindTable) {
+  const std::vector<std::string> Lines =
+      readLines(SourceDir + "/OBSERVABILITY.md");
+  ASSERT_FALSE(Lines.empty());
+  const auto Sections = std::count_if(
+      Lines.begin(), Lines.end(),
+      [](const std::string &L) { return L.starts_with("### `"); });
+  EXPECT_EQ(Sections, static_cast<long>(NumTraceEventKinds));
+  for (const tracekind::Spec &Row : tracekind::Table) {
+    SCOPED_TRACE(Row.Name);
+    const std::string Heading = std::string("### `") + Row.Name + "`";
+    auto It = std::find_if(Lines.begin(), Lines.end(),
+                           [&](const std::string &L) {
+                             return L.starts_with(Heading);
+                           });
+    ASSERT_NE(It, Lines.end()) << "no section " << Heading;
+    // The section's arg table: rows whose first cell is a `key`.
+    std::vector<std::vector<std::string>> Rows;
+    for (++It; It != Lines.end() && !It->starts_with("#"); ++It) {
+      if (It->starts_with("| `"))
+        Rows.push_back(tableCells(*It));
+      else if (!Rows.empty())
+        break;
+    }
+    std::vector<std::string> Documented, Declared;
+    for (const std::vector<std::string> &Cells : Rows)
+      Documented.push_back(Cells.at(0) + " " + Cells.at(1));
+    for (const tracekind::Arg &Arg : Row.args())
+      Declared.push_back(std::string("`") + Arg.Key + "` " + docType(Arg));
+    ASSERT_EQ(Documented, Declared);
+    for (size_t I = 0; I != Rows.size(); ++I)
+      for (const char *Label : Row.args()[I].Labels)
+        EXPECT_NE(Rows[I].at(2).find(std::string("`\"") + Label + "\"`"),
+                  std::string::npos)
+            << Row.args()[I].Key << " does not list label " << Label;
+  }
+}
+
+TEST(TraceSchemaTest, ObservabilityTrackMapFollowsTheKindTable) {
+  const std::vector<std::string> Lines =
+      readLines(SourceDir + "/OBSERVABILITY.md");
+  auto It = std::find(Lines.begin(), Lines.end(), "## Timeline tracks");
+  ASSERT_NE(It, Lines.end());
+  unsigned Tid = 0;
+  for (++It; It != Lines.end() && !It->starts_with("## "); ++It) {
+    const std::vector<std::string> Cells = tableCells(*It);
+    if (!It->starts_with("| ") || Cells.size() < 3 || Cells[0].empty() ||
+        !std::isdigit(static_cast<unsigned char>(Cells[0][0])))
+      continue;
+    SCOPED_TRACE(*It);
+    ASSERT_EQ(Cells[0], std::to_string(Tid));
+    EXPECT_EQ(Cells[1], std::string("`") + traceTrackName(Tid) + "`");
+    std::set<std::string> Documented, Declared;
+    for (const std::string &Kind : codeSpans(Cells[2]))
+      Documented.insert(Kind);
+    for (const tracekind::Spec &Row : tracekind::Table)
+      if (Row.Tids & (1u << Tid))
+        Declared.insert(Row.Name);
+    EXPECT_EQ(Documented, Declared);
+    ++Tid;
+  }
+  EXPECT_EQ(Tid, 1 + NumAosTraceTracks);
+}
+
+/// Runs \p Command through the shell; returns its exit status and its
+/// combined stdout and stderr.
+std::pair<int, std::string> runShell(const std::string &Command) {
+  FILE *Pipe = popen((Command + " 2>&1").c_str(), "r");
+  if (!Pipe)
+    return {-1, "popen failed"};
+  std::string Out;
+  char Buf[4096];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), Pipe))
+    Out.append(Buf, N);
+  const int Status = pclose(Pipe);
+  return {WIFEXITED(Status) ? WEXITSTATUS(Status) : -1, Out};
+}
+
+TEST(TraceSchemaTest, ValidatorRejectsEachViolation) {
+#ifndef AOCI_JQ
+  GTEST_SKIP() << "jq was not found when the build was configured";
+#else
+  const std::string Validate =
+      std::string(AOCI_JQ) + " -e --slurpfile schema " + SourceDir +
+      "/docs/trace-event.schema.json -f " + SourceDir +
+      "/tools/validate_trace.jq";
+  const std::string Golden = GoldenDir + "/trace_every_kind.golden";
+  const auto [OkStatus, OkOut] = runShell(Validate + " " + Golden);
+  ASSERT_EQ(OkStatus, 0) << OkOut;
+
+  // Each mutation of the every-kind golden and a phrase of the diagnostic
+  // it must draw.
+  const std::pair<const char *, const char *> Mutations[] = {
+      {R"jq((.traceEvents[] | select(.name == "sample") | .tid) = 2)jq",
+       "unexpected tid 2"},
+      {R"jq(del(.traceEvents[] | select(.name == "deopt")
+          | .args.topMethod))jq",
+       "missing required arg 'topMethod'"},
+      {R"jq((.traceEvents[] | select(.name == "gc-pause")
+          | .args.bogus) = 1)jq",
+       "unexpected arg 'bogus'"},
+      {R"jq((.traceEvents[] | select(.name == "organizer-wakeup")
+          | .args.organizer) = "gc-organizer")jq",
+       "arg 'organizer' is \"gc-organizer\", not one of"},
+      {R"jq((.traceEvents[] | select(.name == "budget-decision")
+          | .args.accepted) = "yes")jq",
+       "arg 'accepted' is \"yes\", not of type boolean"},
+      {R"jq((.traceEvents[] | select(.name == "compile-request")
+          | .args.queueDepth) = 0)jq",
+       "arg 'queueDepth' is 0, below the minimum 1"},
+      {R"jq((.traceEvents[] | select(.name == "sample")
+          | .args.sampleIndex) = 0.5)jq",
+       "arg 'sampleIndex' is 0.5, not of type integer"},
+      {R"jq((.traceEvents[] | select(.name == "sample") | .args.method) = 5)jq",
+       "arg 'method' is 5, not of type string"},
+      {R"jq(.traceEvents[8].name = "bogus-kind")jq",
+       "unknown event kind 'bogus-kind'"},
+  };
+  for (const auto &[Filter, Message] : Mutations) {
+    SCOPED_TRACE(Filter);
+    const auto [Status, Out] = runShell(std::string(AOCI_JQ) + " '" + Filter +
+                                        "' " + Golden + " | " + Validate);
+    EXPECT_NE(Status, 0) << Out;
+    EXPECT_NE(Out.find(Message), std::string::npos) << Out;
+  }
+#endif
 }
 
 } // namespace
