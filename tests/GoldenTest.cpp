@@ -4,15 +4,16 @@
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
 //
 // Exact-output fixtures for the machine-readable exporters whose format
-// downstream figure scripts parse: CsvExport and PlanPrinter. The
-// inputs are hand-built (no VM runs), so a mismatch can only mean the
-// report format drifted. To intentionally change a format, regenerate
+// downstream figure scripts parse: CsvExport, the serve CSV and
+// PlanPrinter. The inputs are hand-built (no VM runs), so a mismatch can
+// only mean the report format drifted. To intentionally change a format, regenerate
 // the fixtures with AOCI_UPDATE_GOLDEN=1 and review the diff.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/ProgramBuilder.h"
 #include "harness/CsvExport.h"
+#include "harness/Serve.h"
 #include "opt/PlanPrinter.h"
 
 #include <gtest/gtest.h>
@@ -147,7 +148,63 @@ TEST(GoldenTest, MetricsCsvFormat) {
   M.WarmupCycles = 990000;
   M.SteadyCycles = 0;
   Results.add(R, M);
+  // Every column of this row holds a distinct nonzero value (the two
+  // yes/no columns differ), so swapping any two columns changes the bytes.
+  R.Policy = PolicyKind::Parameterless;
+  R.MaxDepth = 5;
+  R.WallCycles = 970001;
+  R.FusedRuns = 11;
+  R.FusedOps = 83;
+  R.FusedBytes = 4099;
+  R.WarmStarted = true;
+  R.WarmStart.TracesApplied = 41;
+  R.WarmStart.DecisionsDropped = 9;
+  R.OptCompileCycles = 175003;
+  R.ShareHits = 13;
+  R.SharePublishes = 17;
+  R.ShareCyclesSaved = 23029;
+  R.SharedCodeBytes = 3061;
+  R.PrivateCodeBytes = 5077;
+  R.BudgetUnitsSpent = 619;
+  R.BudgetCandidatesPruned = 29;
+  R.EstimateErrorPct = 12.3456;
+  M.Worker = 6;
+  M.QueueLatencyNs = 707;
+  M.HostNs = 3800009;
+  M.SteadyReached = false;
+  M.WarmupCycles = 110003;
+  M.SteadyCycles = 860011;
+  Results.add(R, M);
   expectMatchesGolden("metrics_csv.golden", exportMetricsCsv(Results));
+}
+
+TEST(GoldenTest, ServeCsvFormat) {
+  // Two sessions whose every column holds a distinct value (kind differs
+  // between them), so swapping any two columns changes the bytes.
+  ServeResults Results;
+  for (uint64_t Tag : {1u, 2u}) {
+    ServeSessionResult &S = Results.Sessions.emplace_back();
+    S.SessionId = static_cast<unsigned>(Tag);
+    S.TenantName = Tag == 1 ? "compress" : "scn-phase-shift";
+    S.IsScenario = Tag == 2;
+    S.StartRound = static_cast<unsigned>(2 + Tag);
+    S.RoundsRun = 5 + Tag;
+    S.WallCycles = 7000000 + Tag * 1111;
+    S.ProgramResult = Tag == 1 ? 249601 : -3511;
+    S.OptCompilations = static_cast<unsigned>(30 + Tag);
+    S.OptCompileCycles = 480000 + Tag * 19;
+    S.ShareHits = 40 + Tag;
+    S.SharePublishes = 50 + Tag;
+    S.ShareCyclesSaved = 440000 + Tag * 23;
+    S.SharedEvictionsApplied = 60 + Tag;
+    S.PinnedSharedEvicts = 70 + Tag;
+    S.SharedCodeBytes = 7800 + Tag * 7;
+    S.PrivateCodeBytes = 437000 + Tag * 29;
+    S.Evictions = 80 + Tag;
+    S.Deopts = 90 + Tag;
+    S.OsrEntries = 100 + Tag;
+  }
+  expectMatchesGolden("serve_csv.golden", exportServeCsv(Results));
 }
 
 TEST(GoldenTest, PlanPrinterFormat) {
