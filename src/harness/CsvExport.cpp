@@ -10,94 +10,150 @@
 #include "support/StringUtils.h"
 
 using namespace aoci;
+using runcounter::field;
 
 namespace {
 
-void appendRunColumns(std::string &Out, const RunResult &R,
-                      const char *PolicyName) {
-  Out += formatString(
-      "%s,%s,%u,%llu,%llu,%llu,%llu,%u,%llu,%llu,%llu",
-      R.WorkloadName.c_str(), PolicyName, R.MaxDepth,
-      static_cast<unsigned long long>(R.WallCycles),
-      static_cast<unsigned long long>(R.OptBytesResident),
-      static_cast<unsigned long long>(R.OptBytesGenerated),
-      static_cast<unsigned long long>(R.OptCompileCycles),
-      R.OptCompilations,
-      static_cast<unsigned long long>(R.GuardFallbacks),
-      static_cast<unsigned long long>(R.InlinedCalls),
-      static_cast<unsigned long long>(R.SamplesTaken));
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    Out += formatString(",%.6f",
-                        R.componentFraction(static_cast<AosComponent>(C)));
+/// One run of a sweep, as the grid and metrics CSVs see it.
+struct GridRow {
+  const RunResult *Run;
+  bool IsBaseline;
+  /// The sweep, for the grid CSV's deltas.
+  const GridResults *Results = nullptr;
+  /// The run's host record, for the metrics CSV.
+  const RunMetrics *Host = nullptr;
+};
+
+using Column = CsvColumn<GridRow>;
+
+constexpr Column WorkloadColumn{
+    "workload", [](const GridRow &X) { return X.Run->WorkloadName; }};
+constexpr Column PolicyColumn{
+    "policy", [](const GridRow &X) -> std::string {
+      return X.IsBaseline ? "cins" : policyKindName(X.Run->Policy);
+    }};
+constexpr Column MaxDepthColumn{
+    "max_depth",
+    [](const GridRow &X) { return std::to_string(X.Run->MaxDepth); }};
+
+/// Component \p C's share of the run's wall cycles (Figure 6).
+template <AosComponent C> std::string wallShare(const GridRow &X) {
+  return formatString("%.6f", X.Run->componentFraction(C));
 }
 
+/// A cell's change over its baseline (Figures 4 and 5); empty on
+/// baseline rows.
+template <double (GridResults::*Delta)(const std::string &, PolicyKind,
+                                       unsigned) const>
+std::string delta(const GridRow &X) {
+  if (X.IsBaseline)
+    return "";
+  return formatString("%.4f", (X.Results->*Delta)(X.Run->WorkloadName,
+                                                  X.Run->Policy,
+                                                  X.Run->MaxDepth));
+}
+
+constexpr Column GridColumns[] = {
+    WorkloadColumn,
+    PolicyColumn,
+    MaxDepthColumn,
+    field<&RunResult::WallCycles>,
+    field<&RunResult::OptBytesResident>,
+    field<&RunResult::OptBytesGenerated>,
+    field<&RunResult::OptCompileCycles>,
+    field<&RunResult::OptCompilations>,
+    field<&RunResult::GuardFallbacks>,
+    field<&RunResult::InlinedCalls>,
+    field<&RunResult::SamplesTaken>,
+    {"aos_listeners", wallShare<AosComponent::Listeners>},
+    {"aos_compilation", wallShare<AosComponent::Compilation>},
+    {"aos_decay", wallShare<AosComponent::DecayOrganizer>},
+    {"aos_ai", wallShare<AosComponent::AiOrganizer>},
+    {"aos_method", wallShare<AosComponent::MethodOrganizer>},
+    {"aos_controller", wallShare<AosComponent::Controller>},
+    {"speedup_pct", delta<&GridResults::speedupPercent>},
+    {"code_size_pct", delta<&GridResults::codeSizePercent>},
+    {"compile_time_pct", delta<&GridResults::compileTimePercent>},
+};
+
+/// The metrics CSV's column for host-record member \p M.
+template <auto M> std::string host(const GridRow &X) {
+  return std::to_string(X.Host->*M);
+}
+
+constexpr Column MetricsColumns[] = {
+    WorkloadColumn,
+    PolicyColumn,
+    MaxDepthColumn,
+    {"kind",
+     [](const GridRow &X) -> std::string {
+       return X.IsBaseline ? "baseline" : "cell";
+     }},
+    {"worker", host<&RunMetrics::Worker>},
+    {"queue_ns", host<&RunMetrics::QueueLatencyNs>},
+    {"host_ns", host<&RunMetrics::HostNs>},
+    {field<&RunResult::WallCycles>, "run_cycles"},
+    {"steady",
+     [](const GridRow &X) -> std::string {
+       return !X.Host->SteadyKnown    ? "n/a"
+              : X.Host->SteadyReached ? "yes"
+                                      : "no";
+     }},
+    {"warmup_cycles", host<&RunMetrics::WarmupCycles>},
+    {"steady_cycles", host<&RunMetrics::SteadyCycles>},
+    field<&RunResult::FusedRuns>,
+    field<&RunResult::FusedOps>,
+    field<&RunResult::FusedBytes>,
+    field<&RunResult::WarmStarted>,
+    runcounter::warmApplied,
+    runcounter::warmDropped,
+    field<&RunResult::OptCompileCycles>,
+    field<&RunResult::ShareHits>,
+    field<&RunResult::SharePublishes>,
+    field<&RunResult::ShareCyclesSaved>,
+    field<&RunResult::SharedCodeBytes>,
+    field<&RunResult::PrivateCodeBytes>,
+    field<&RunResult::BudgetUnitsSpent>,
+    field<&RunResult::BudgetCandidatesPruned>,
+    field<&RunResult::EstimateErrorPct>,
+};
+
 } // namespace
+
+std::string aoci::formatCounter(const runcounter::Spec &Counter,
+                                const RunResult &R) {
+  const runcounter::Bits V = Counter.Get(R);
+  switch (Counter.Fmt) {
+  case runcounter::Count:
+    return std::to_string(V);
+  case runcounter::Signed:
+    return std::to_string(static_cast<int64_t>(V));
+  case runcounter::Fixed4:
+    return formatString("%.4f", std::bit_cast<double>(V));
+  case runcounter::YesNo:
+    return V ? "yes" : "no";
+  }
+  return "";
+}
 
 std::string aoci::exportCsv(const GridResults &Results,
                             const std::vector<PolicyKind> &Policies,
                             const std::vector<unsigned> &Depths) {
-  std::string Out =
-      "workload,policy,max_depth,wall_cycles,opt_bytes_resident,"
-      "opt_bytes_generated,opt_compile_cycles,opt_compilations,"
-      "guard_fallbacks,inlined_calls,samples,aos_listeners,"
-      "aos_compilation,aos_decay,aos_ai,aos_method,aos_controller,"
-      "speedup_pct,code_size_pct,compile_time_pct\n";
-
+  std::vector<GridRow> Rows;
   for (const std::string &W : Results.workloads()) {
-    appendRunColumns(Out, Results.baseline(W), "cins");
-    Out += ",,,\n";
-    for (PolicyKind Policy : Policies) {
-      for (unsigned D : Depths) {
-        appendRunColumns(Out, Results.cell(W, Policy, D),
-                         policyKindName(Policy));
-        Out += formatString(
-            ",%.4f,%.4f,%.4f\n", Results.speedupPercent(W, Policy, D),
-            Results.codeSizePercent(W, Policy, D),
-            Results.compileTimePercent(W, Policy, D));
-      }
-    }
+    Rows.push_back({&Results.baseline(W), true, &Results});
+    for (PolicyKind Policy : Policies)
+      for (unsigned D : Depths)
+        Rows.push_back({&Results.cell(W, Policy, D), false, &Results});
   }
-  return Out;
+  return renderCsv<GridRow>(GridColumns, Rows);
 }
 
 std::string aoci::exportMetricsCsv(const GridResults &Results) {
-  std::string Out =
-      "workload,policy,max_depth,kind,worker,queue_ns,host_ns,run_cycles,"
-      "steady,warmup_cycles,steady_cycles,fused_runs,fused_ops,"
-      "fused_bytes,warm_start,warm_applied,warm_dropped,"
-      "opt_compile_cycles,share_hits,share_publishes,share_saved_cycles,"
-      "shared_bytes,private_bytes,budget_spent,budget_pruned,"
-      "estimate_err_pct\n";
+  std::vector<GridRow> Rows;
   for (size_t I = 0; I != Results.runs().size(); ++I) {
-    const RunResult &R = Results.runs()[I];
     const RunMetrics &M = Results.metrics()[I];
-    Out += formatString(
-        "%s,%s,%u,%s,%u,%llu,%llu,%llu,%s,%llu,%llu,%llu,%llu,%llu,"
-        "%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.4f\n",
-        R.WorkloadName.c_str(),
-        M.IsBaseline ? "cins" : policyKindName(R.Policy), R.MaxDepth,
-        M.IsBaseline ? "baseline" : "cell", M.Worker,
-        static_cast<unsigned long long>(M.QueueLatencyNs),
-        static_cast<unsigned long long>(M.HostNs),
-        static_cast<unsigned long long>(R.WallCycles),
-        !M.SteadyKnown ? "n/a" : M.SteadyReached ? "yes" : "no",
-        static_cast<unsigned long long>(M.WarmupCycles),
-        static_cast<unsigned long long>(M.SteadyCycles),
-        static_cast<unsigned long long>(R.FusedRuns),
-        static_cast<unsigned long long>(R.FusedOps),
-        static_cast<unsigned long long>(R.FusedBytes),
-        R.WarmStarted ? "yes" : "no",
-        static_cast<unsigned long long>(R.WarmStart.applied()),
-        static_cast<unsigned long long>(R.WarmStart.dropped()),
-        static_cast<unsigned long long>(R.OptCompileCycles),
-        static_cast<unsigned long long>(R.ShareHits),
-        static_cast<unsigned long long>(R.SharePublishes),
-        static_cast<unsigned long long>(R.ShareCyclesSaved),
-        static_cast<unsigned long long>(R.SharedCodeBytes),
-        static_cast<unsigned long long>(R.PrivateCodeBytes),
-        static_cast<unsigned long long>(R.BudgetUnitsSpent),
-        static_cast<unsigned long long>(R.BudgetCandidatesPruned),
-        R.EstimateErrorPct);
+    Rows.push_back({&Results.runs()[I], M.IsBaseline, nullptr, &M});
   }
-  return Out;
+  return renderCsv<GridRow>(MetricsColumns, Rows);
 }

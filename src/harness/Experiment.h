@@ -76,7 +76,9 @@ struct RunConfig {
   bool CapturePlans = false;
 };
 
-/// Everything measured in one run (filled by LiveRun::harvest()).
+/// Everything measured in one run (filled by LiveRun::harvest()). Every
+/// counter has a row in the counter table (harness/RunCounters.h), which
+/// names it in the CSVs and puts it in the tests' run-equality check.
 struct RunResult {
   std::string WorkloadName;
   PolicyKind Policy = PolicyKind::ContextInsensitive;
@@ -103,9 +105,7 @@ struct RunResult {
   int64_t ProgramResult = 0;
 
   /// OSR subsystem activity (all zero when RunConfig's Aos.Osr.Enabled
-  /// is off — see src/osr/OsrConfig.h for the counter semantics). Kept
-  /// out of the frozen grid CSV; surfaced by reportRunMetrics() and the
-  /// CLI run report.
+  /// is off — see src/osr/OsrConfig.h for the counter semantics).
   uint64_t OsrEntries = 0;
   uint64_t Deopts = 0;
   uint64_t DeoptFramesRemapped = 0;
@@ -116,7 +116,6 @@ struct RunResult {
   /// Model.CodeCache.CapacityBytes == 0). Live/peak bytes count *all*
   /// installed code — baseline and optimized — which is what the cache's
   /// capacity bounds; the OptBytes* fields above remain optimized-only.
-  /// Kept out of the frozen grid CSV, like the OSR counters.
   uint64_t LiveCodeBytes = 0;
   uint64_t PeakCodeBytes = 0;
   uint64_t Evictions = 0;
@@ -124,9 +123,7 @@ struct RunResult {
 
   /// Superinstruction fusion activity (all zero with fusion off, i.e.
   /// Model.Fuse.Enabled == false). Deterministic — fusion decisions are a
-  /// pure function of installed code — but host-side machinery, so kept
-  /// out of the frozen grid CSV like the OSR and cache counters; the
-  /// metrics CSV carries them (`fused_runs,fused_ops,fused_bytes`).
+  /// pure function of installed code.
   uint64_t FusedRuns = 0;
   uint64_t FusedOps = 0;
   uint64_t FusedBytes = 0;
@@ -137,10 +134,7 @@ struct RunResult {
   /// Shared-code-cache activity (all zero without a CodeShareClient,
   /// i.e. outside serve mode — see src/share/ and harness/Serve.h).
   /// SharedCodeBytes/PrivateCodeBytes split LiveCodeBytes by
-  /// CodeVariant::SharedIn. Kept out of the frozen grid CSV; the metrics
-  /// CSV carries them
-  /// (`share_hits,share_publishes,share_saved_cycles,shared_bytes,
-  /// private_bytes`).
+  /// CodeVariant::SharedIn.
   uint64_t ShareHits = 0;
   uint64_t SharePublishes = 0;
   uint64_t ShareCyclesSaved = 0;
@@ -151,9 +145,7 @@ struct RunResult {
   /// organizer; see core/BudgetOrganizer.h). EstimateErrorPct is the
   /// size-estimator calibration's running mean absolute error — fed on
   /// every install regardless of organizer, so it is nonzero whenever
-  /// anything compiled. Kept out of the frozen grid CSV like the OSR and
-  /// share counters; the metrics CSV carries them
-  /// (`budget_spent,budget_pruned,estimate_err_pct`).
+  /// anything compiled.
   uint64_t BudgetUnitsSpent = 0;
   uint64_t BudgetCandidatesAccepted = 0;
   uint64_t BudgetCandidatesPruned = 0;
@@ -162,9 +154,7 @@ struct RunResult {
   /// Warm-start provenance (all zero/false on a cold start, i.e. without
   /// RunConfig::WarmStart), per profile section; WarmStart.applied() and
   /// .dropped() aggregate them, and a large dropped() count is the
-  /// signature of a stale profile. Kept out of the frozen grid CSV; the
-  /// metrics CSV carries the totals (`warm_start,warm_applied,
-  /// warm_dropped`).
+  /// signature of a stale profile.
   bool WarmStarted = false;
   WarmStartStats WarmStart;
   /// DCG entries the decay organizer dropped below the retention

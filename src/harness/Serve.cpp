@@ -7,6 +7,7 @@
 
 #include "harness/Serve.h"
 
+#include "harness/CsvExport.h"
 #include "support/Audit.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
@@ -16,6 +17,7 @@
 #include <thread>
 
 using namespace aoci;
+using runcounter::field;
 
 bool aoci::parseTenantList(const std::string &List,
                            std::vector<ServeTenantSpec> &Out,
@@ -277,33 +279,52 @@ double ServeResults::hitRate() const {
   return static_cast<double>(Hits) / static_cast<double>(Lookups);
 }
 
+namespace {
+
+struct ServeRow {
+  const ServeSessionResult *Run;
+};
+
+using ServeColumn = CsvColumn<ServeRow>;
+
+/// The serve CSV's column for session member \p M.
+template <auto M> std::string session(const ServeRow &X) {
+  return std::to_string(X.Run->*M);
+}
+
+constexpr ServeColumn ServeColumns[] = {
+    {"session", session<&ServeSessionResult::SessionId>},
+    {"tenant", [](const ServeRow &X) { return X.Run->TenantName; }},
+    {"kind",
+     [](const ServeRow &X) -> std::string {
+       return X.Run->IsScenario ? "scenario" : "workload";
+     }},
+    {"start_round", session<&ServeSessionResult::StartRound>},
+    {"rounds", session<&ServeSessionResult::RoundsRun>},
+    field<&RunResult::WallCycles>,
+    field<&RunResult::ProgramResult>,
+    field<&RunResult::OptCompilations>,
+    field<&RunResult::OptCompileCycles>,
+    field<&RunResult::ShareHits>,
+    field<&RunResult::SharePublishes>,
+    field<&RunResult::ShareCyclesSaved>,
+    {"share_evicts_applied",
+     session<&ServeSessionResult::SharedEvictionsApplied>},
+    {"share_evicts_pinned", session<&ServeSessionResult::PinnedSharedEvicts>},
+    field<&RunResult::SharedCodeBytes>,
+    field<&RunResult::PrivateCodeBytes>,
+    field<&RunResult::Evictions>,
+    field<&RunResult::Deopts>,
+    field<&RunResult::OsrEntries>,
+};
+
+} // namespace
+
 std::string aoci::exportServeCsv(const ServeResults &Results) {
-  std::string Out =
-      "session,tenant,kind,start_round,rounds,wall_cycles,result,"
-      "opt_compilations,opt_compile_cycles,share_hits,share_publishes,"
-      "share_saved_cycles,share_evicts_applied,share_evicts_pinned,"
-      "shared_bytes,private_bytes,evictions,deopts,osr_entries\n";
+  std::vector<ServeRow> Rows;
   for (const ServeSessionResult &S : Results.Sessions)
-    Out += formatString(
-        "%u,%s,%s,%u,%llu,%llu,%lld,%u,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%llu,%llu,%llu,%llu\n",
-        S.SessionId, S.TenantName.c_str(),
-        S.IsScenario ? "scenario" : "workload", S.StartRound,
-        static_cast<unsigned long long>(S.RoundsRun),
-        static_cast<unsigned long long>(S.WallCycles),
-        static_cast<long long>(S.ProgramResult), S.OptCompilations,
-        static_cast<unsigned long long>(S.OptCompileCycles),
-        static_cast<unsigned long long>(S.ShareHits),
-        static_cast<unsigned long long>(S.SharePublishes),
-        static_cast<unsigned long long>(S.ShareCyclesSaved),
-        static_cast<unsigned long long>(S.SharedEvictionsApplied),
-        static_cast<unsigned long long>(S.PinnedSharedEvicts),
-        static_cast<unsigned long long>(S.SharedCodeBytes),
-        static_cast<unsigned long long>(S.PrivateCodeBytes),
-        static_cast<unsigned long long>(S.Evictions),
-        static_cast<unsigned long long>(S.Deopts),
-        static_cast<unsigned long long>(S.OsrEntries));
-  return Out;
+    Rows.push_back({&S});
+  return renderCsv<ServeRow>(ServeColumns, Rows);
 }
 
 std::string aoci::reportServe(const ServeResults &Results) {

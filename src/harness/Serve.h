@@ -138,12 +138,10 @@ ServeResults
 runServe(const ServeConfig &Config, unsigned Jobs,
          const std::function<void(const std::string &)> &Progress = nullptr);
 
-/// Renders per-session results as CSV (deterministic: no host times).
-/// Columns:
-///   session,tenant,kind,start_round,rounds,wall_cycles,result,
-///   opt_compilations,opt_compile_cycles,share_hits,share_publishes,
-///   share_saved_cycles,share_evicts_applied,share_evicts_pinned,
-///   shared_bytes,private_bytes,evictions,deopts,osr_entries
+/// Renders per-session results as CSV (deterministic: no host times):
+/// the session's schedule columns and serve-only eviction counts beside
+/// run counters from the counter table (RunCounters.h);
+/// tests/golden/serve_csv.golden pins the columns.
 std::string exportServeCsv(const ServeResults &Results);
 
 /// Human-readable serve report: the per-session table plus the shared

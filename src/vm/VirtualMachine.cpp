@@ -1039,7 +1039,7 @@ void VirtualMachine::onEvicted(const CodeVariant &V) {
   auditState("evict");
 }
 
-void VirtualMachine::onInstalled(const CodeVariant &Installed,
+void VirtualMachine::onInstalled(const CodeVariant & /*Installed*/,
                                  const CodeVariant *Superseded) {
   if (Superseded != nullptr)
     invalidateIcMemos(*Superseded);

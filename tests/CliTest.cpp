@@ -15,12 +15,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -119,22 +120,8 @@ void expectGolden(const std::string &Name,
       Text += "--- " + F + "\n" + readFile(Dir.Path / F);
     }
   }
-  const std::string Path =
-      std::string(AOCI_GOLDEN_DIR) + "/cli_" + Name + ".golden";
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream Out(Path, std::ios::binary);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Text;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  ASSERT_TRUE(fs::exists(Path))
-      << "missing fixture " << Path
-      << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  EXPECT_EQ(readFile(Path), Text)
-      << "aoci output drifted from " << Path
-      << "; if intentional, rerun with AOCI_UPDATE_GOLDEN=1 and review "
-         "the fixture diff";
+  aoci::expectMatchesGolden("cli_" + Name + ".golden", Text,
+                            "aoci output changed");
 }
 
 } // namespace

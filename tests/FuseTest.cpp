@@ -35,10 +35,11 @@
 #include "vm/VirtualMachine.h"
 #include "workload/Workload.h"
 
+#include "DeepProgram.h"
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -66,115 +67,6 @@ CostModel fusedEverywhere() {
 //===----------------------------------------------------------------------===//
 // Hand-built programs
 //===----------------------------------------------------------------------===//
-
-/// Same three-level call chain as CodeCacheTest/OsrTest:
-///   main()   { t = 0; repeat Calls: t += outer(Iters); return t; }
-///   outer(n) { return mid(n) + 1; }
-///   mid(n)   { return inner(n) + 1; }
-///   inner(n) { s = 0; while (n != 0) { s += n; n--; } return s; }
-struct DeepProgram {
-  Program P;
-  MethodId Main = InvalidMethodId;
-  MethodId Outer = InvalidMethodId;
-  MethodId Mid = InvalidMethodId;
-  MethodId Inner = InvalidMethodId;
-  BytecodeIndex OuterCallsMid = 0;
-  BytecodeIndex MidCallsInner = 0;
-};
-
-DeepProgram deepProgram(int64_t Calls, int64_t Iters) {
-  DeepProgram D;
-  ProgramBuilder B;
-  ClassId C = B.addClass("Main");
-  D.Inner = B.declareMethod(C, "inner", MethodKind::Static, 1, true);
-  {
-    CodeEmitter E = B.code(D.Inner);
-    auto Top = E.newLabel();
-    auto Exit = E.newLabel();
-    E.iconst(0).store(1);
-    E.bind(Top);
-    E.load(0).ifZero(Exit);
-    E.load(1).load(0).iadd().store(1);
-    E.load(0).iconst(1).isub().store(0);
-    E.jump(Top);
-    E.bind(Exit);
-    E.load(1).vreturn();
-    E.finish();
-  }
-  D.Mid = B.declareMethod(C, "mid", MethodKind::Static, 1, true);
-  {
-    CodeEmitter E = B.code(D.Mid);
-    E.load(0);
-    D.MidCallsInner = E.nextIndex();
-    E.invokeStatic(D.Inner);
-    E.iconst(1).iadd().vreturn();
-    E.finish();
-  }
-  D.Outer = B.declareMethod(C, "outer", MethodKind::Static, 1, true);
-  {
-    CodeEmitter E = B.code(D.Outer);
-    E.load(0);
-    D.OuterCallsMid = E.nextIndex();
-    E.invokeStatic(D.Mid);
-    E.iconst(1).iadd().vreturn();
-    E.finish();
-  }
-  D.Main = B.declareMethod(C, "main", MethodKind::Static, 0, true);
-  {
-    CodeEmitter E = B.code(D.Main);
-    auto Top = E.newLabel();
-    auto Exit = E.newLabel();
-    E.iconst(Calls).store(0).iconst(0).store(1);
-    E.bind(Top);
-    E.load(0).ifZero(Exit);
-    E.iconst(Iters).invokeStatic(D.Outer);
-    E.load(1).iadd().store(1);
-    E.load(0).iconst(1).isub().store(0);
-    E.jump(Top);
-    E.bind(Exit);
-    E.load(1).vreturn();
-    E.finish();
-  }
-  B.setEntry(D.Main);
-  D.P = B.build();
-  return D;
-}
-
-int64_t deepProgramResult(int64_t Calls, int64_t Iters) {
-  return Calls * (Iters * (Iters + 1) / 2 + 2);
-}
-
-std::unique_ptr<CodeVariant> planlessVariant(const Program &P, MethodId M,
-                                             OptLevel Level) {
-  auto V = std::make_unique<CodeVariant>();
-  V->M = M;
-  V->Level = Level;
-  V->MachineUnits = P.method(M).machineSize();
-  return V;
-}
-
-std::unique_ptr<CodeVariant> plannedOuter(const DeepProgram &D,
-                                          OptLevel Level) {
-  InlineCase InnerCase;
-  InnerCase.Callee = D.Inner;
-  InnerCase.BodyUnits = D.P.method(D.Inner).machineSize();
-  InlineCase MidCase;
-  MidCase.Callee = D.Mid;
-  MidCase.BodyUnits = D.P.method(D.Mid).machineSize();
-  MidCase.Body = std::make_unique<InlineNode>();
-  MidCase.Body->getOrCreate(D.MidCallsInner)
-      .Cases.push_back(std::move(InnerCase));
-  InlinePlan Plan;
-  Plan.Root.getOrCreate(D.OuterCallsMid).Cases.push_back(std::move(MidCase));
-  Plan.recountStatistics();
-  Plan.TotalUnits = D.P.method(D.Outer).machineSize() +
-                    D.P.method(D.Mid).machineSize() +
-                    D.P.method(D.Inner).machineSize();
-  auto V = planlessVariant(D.P, D.Outer, Level);
-  V->MachineUnits = Plan.TotalUnits;
-  V->Plan = std::move(Plan);
-  return V;
-}
 
 /// A torture loop for the lowering: every fusable opcode, the symbolic
 /// shuffles (dup/swap/pop, store-aliasing, the store peephole), heap and
@@ -250,30 +142,6 @@ struct TortureProgram {
   }
 };
 
-template <typename Pred>
-void stepUntil(VirtualMachine &VM, ThreadState &T, Pred Done) {
-  for (uint64_t I = 0; I != 10000000; ++I) {
-    if (Done())
-      return;
-    ASSERT_FALSE(T.Finished) << "thread finished before the condition held";
-    VM.step(T, 1);
-  }
-  FAIL() << "condition never held";
-}
-
-/// Locals and operand stack of \p S match frame \p Index bit for bit.
-void expectSameValues(const FrameSnapshot &S, const ThreadState &T,
-                      size_t Index) {
-  FrameSnapshot Now = snapshotFrame(T, Index);
-  EXPECT_EQ(S.Method, Now.Method);
-  ASSERT_EQ(S.Locals.size(), Now.Locals.size());
-  for (size_t I = 0; I != S.Locals.size(); ++I)
-    EXPECT_TRUE(S.Locals[I].equals(Now.Locals[I])) << "local " << I;
-  ASSERT_EQ(S.Stack.size(), Now.Stack.size());
-  for (size_t I = 0; I != S.Stack.size(); ++I)
-    EXPECT_TRUE(S.Stack[I].equals(Now.Stack[I])) << "stack slot " << I;
-}
-
 /// Every simulated-state observable of the two VMs agrees: clock,
 /// instruction count, frame shapes, and every live slab value.
 void expectLockstepState(const VirtualMachine &A, const ThreadState &TA,
@@ -292,30 +160,6 @@ void expectLockstepState(const VirtualMachine &A, const ThreadState &TA,
   }
   for (uint32_t I = 0; I != TA.SlabTop; ++I)
     ASSERT_TRUE(TA.Slab[I].equals(TB.Slab[I])) << "slab slot " << I;
-}
-
-void expectIdenticalResults(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.OsrEntries, B.OsrEntries);
-  EXPECT_EQ(A.Deopts, B.Deopts);
-  EXPECT_EQ(A.OsrTransitionCycles, B.OsrTransitionCycles);
-  EXPECT_EQ(A.LiveCodeBytes, B.LiveCodeBytes);
-  EXPECT_EQ(A.PeakCodeBytes, B.PeakCodeBytes);
-  EXPECT_EQ(A.Evictions, B.Evictions);
-  EXPECT_EQ(A.RecompilesAfterEvict, B.RecompilesAfterEvict);
 }
 
 //===----------------------------------------------------------------------===//
@@ -675,8 +519,15 @@ TEST(FuseExperimentTest, RunResultsIdenticalWithFusionOnOsrAndCacheOn) {
   RunResult A = runExperiment(Off);
   RunResult B = runExperiment(On);
   RunResult C = runExperiment(Everywhere);
-  expectIdenticalResults(A, B);
-  expectIdenticalResults(A, C);
+  // Fusion changes how installed code executes, never what it computes
+  // or charges: every counter but fusion's own agrees.
+  const std::initializer_list<runcounter::Reader> FusionCounters = {
+      runcounter::field<&RunResult::FusedRuns>,
+      runcounter::field<&RunResult::FusedOps>,
+      runcounter::field<&RunResult::FusedBytes>,
+      runcounter::field<&RunResult::FusedBatchesExecuted>};
+  expectSameRun(A, B, FusionCounters);
+  expectSameRun(A, C, FusionCounters);
 }
 
 TEST(FuseGridTest, FusionAndJobCountNeverChangeTheGridCsv) {
@@ -735,28 +586,6 @@ TEST(FuseGridTest, FusionAndJobCountNeverChangeTheGridCsv) {
 // (5) Golden trace: the fuse-install event stream's bytes are pinned.
 //===----------------------------------------------------------------------===//
 
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "fuse-install trace export drifted from " << Path
-      << "; either the fusion sequence or the JSON serialization "
-         "changed. If intentional, rerun with AOCI_UPDATE_GOLDEN=1, "
-         "review the fixture diff, and update OBSERVABILITY.md if the "
-         "schema moved";
-}
-
 TEST(FuseGoldenTest, FuseInstallTraceJsonMatchesGolden) {
   uint32_t Mask = 0;
   std::string Error;
@@ -781,7 +610,9 @@ TEST(FuseGoldenTest, FuseInstallTraceJsonMatchesGolden) {
 
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "fuse/install");
-  expectMatchesGolden("trace_fuse_install.golden", Json.str());
+  expectMatchesGolden("trace_fuse_install.golden", Json.str(),
+                      "the fusion sequence or the JSON serialization "
+                      "changed; update OBSERVABILITY.md if the schema moved");
 }
 
 } // namespace

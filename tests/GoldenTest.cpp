@@ -6,8 +6,8 @@
 // Exact-output fixtures for the machine-readable exporters whose format
 // downstream figure scripts parse: CsvExport, the serve CSV and
 // PlanPrinter. The inputs are hand-built (no VM runs), so a mismatch can
-// only mean the report format drifted. To intentionally change a format, regenerate
-// the fixtures with AOCI_UPDATE_GOLDEN=1 and review the diff.
+// only mean the report format drifted. To intentionally change a format,
+// regenerate the fixtures with AOCI_UPDATE_GOLDEN=1 and review the diff.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,43 +16,18 @@
 #include "harness/Serve.h"
 #include "opt/PlanPrinter.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace aoci;
 
 namespace {
 
-std::string goldenPath(const std::string &Name) {
-  return std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-}
-
-/// Compares \p Actual against the checked-in fixture \p Name; with
-/// AOCI_UPDATE_GOLDEN=1 in the environment it rewrites the fixture
-/// instead.
-void expectMatchesGolden(const std::string &Name,
-                         const std::string &Actual) {
-  const std::string Path = goldenPath(Name);
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream Out(Path, std::ios::binary);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "report format drifted from " << Path
-      << "; if intentional, rerun with AOCI_UPDATE_GOLDEN=1 and review "
-         "the fixture diff";
-}
+constexpr const char *FormatDrift = "the report format changed";
 
 /// A RunResult with every exported field filled from a small integer
 /// tag, so each CSV column exercises a distinct value.
@@ -91,14 +66,65 @@ GridResults syntheticGrid() {
   return Results;
 }
 
+/// The header cells of a rendered CSV.
+std::set<std::string> headerCells(const std::string &Csv) {
+  std::set<std::string> Cells;
+  std::stringstream In(Csv.substr(0, Csv.find('\n')));
+  for (std::string Cell; std::getline(In, Cell, ',');)
+    Cells.insert(Cell);
+  return Cells;
+}
+
 } // namespace
+
+TEST(RunCounterTableTest, NamesAndReadersAreUnique) {
+  // A reader names its counter in CSV column lists and exclusions, so
+  // two rows may share neither a name nor a reader.
+  std::set<std::string> Names;
+  std::set<runcounter::Reader> Readers;
+  for (const runcounter::Spec &Row : runcounter::Table) {
+    EXPECT_TRUE(Names.insert(Row.Name).second) << "duplicate " << Row.Name;
+    EXPECT_TRUE(Readers.insert(Row.Get).second) << "shared " << Row.Name;
+  }
+}
+
+TEST(RunCounterTableTest, ObservabilityListsEveryCounter) {
+  // OBSERVABILITY.md's "Run counters" table, row by row: name, unit,
+  // subsystem and the CSVs whose header carries the name.
+  const std::pair<const char *, std::set<std::string>> Csvs[] = {
+      {"grid", headerCells(exportCsv(GridResults(), {}, {}))},
+      {"metrics", headerCells(exportMetricsCsv(GridResults()))},
+      {"serve", headerCells(exportServeCsv(ServeResults()))}};
+  const std::vector<std::string> Lines =
+      readLines(std::string(AOCI_SOURCE_DIR) + "/OBSERVABILITY.md");
+  auto It = std::find(Lines.begin(), Lines.end(), "## Run counters");
+  ASSERT_NE(It, Lines.end()) << "no \"## Run counters\" section";
+  std::vector<std::string> Documented;
+  for (++It; It != Lines.end() && !It->starts_with("## "); ++It)
+    if (It->starts_with("| `")) {
+      const std::vector<std::string> Cells = tableCells(*It);
+      Documented.push_back(Cells.at(0) + " | " + Cells.at(1) + " | " +
+                           Cells.at(2) + " | " + Cells.at(3));
+    }
+  ASSERT_EQ(Documented.size(), std::size(runcounter::Table));
+  for (size_t I = 0; I != Documented.size(); ++I) {
+    const runcounter::Spec &Row = runcounter::Table[I];
+    std::string In;
+    for (const auto &[Csv, Header] : Csvs)
+      if (Header.count(Row.Name))
+        In += (In.empty() ? "" : ", ") + std::string(Csv);
+    EXPECT_EQ(Documented[I], std::string("`") + Row.Name + "` | " +
+                                 Row.Unit + " | " + Row.Subsystem + " | " +
+                                 (In.empty() ? "—" : In));
+  }
+}
 
 TEST(GoldenTest, CsvExportFormat) {
   GridResults Results = syntheticGrid();
   std::string Csv =
       exportCsv(Results, {PolicyKind::Fixed, PolicyKind::Parameterless},
                 {2, 3});
-  expectMatchesGolden("csv_export.golden", Csv);
+  expectMatchesGolden("csv_export.golden", Csv, FormatDrift);
 }
 
 TEST(GoldenTest, MetricsCsvFormat) {
@@ -175,7 +201,8 @@ TEST(GoldenTest, MetricsCsvFormat) {
   M.WarmupCycles = 110003;
   M.SteadyCycles = 860011;
   Results.add(R, M);
-  expectMatchesGolden("metrics_csv.golden", exportMetricsCsv(Results));
+  expectMatchesGolden("metrics_csv.golden", exportMetricsCsv(Results),
+                      FormatDrift);
 }
 
 TEST(GoldenTest, ServeCsvFormat) {
@@ -204,7 +231,7 @@ TEST(GoldenTest, ServeCsvFormat) {
     S.Deopts = 90 + Tag;
     S.OsrEntries = 100 + Tag;
   }
-  expectMatchesGolden("serve_csv.golden", exportServeCsv(Results));
+  expectMatchesGolden("serve_csv.golden", exportServeCsv(Results), FormatDrift);
 }
 
 TEST(GoldenTest, PlanPrinterFormat) {
@@ -273,5 +300,6 @@ TEST(GoldenTest, PlanPrinterFormat) {
   GetCase2.BodyUnits = 12;
   Variant.Plan.recountStatistics();
 
-  expectMatchesGolden("plan_printer.golden", describeVariant(P, Variant));
+  expectMatchesGolden("plan_printer.golden", describeVariant(P, Variant),
+                      FormatDrift);
 }

@@ -10,6 +10,8 @@
 #include "harness/Reporters.h"
 #include "harness/Serve.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,10 +55,7 @@ TEST(ExperimentTest, RunCollectsAllMetrics) {
 TEST(ExperimentTest, RunsAreDeterministic) {
   RunResult A = runExperiment(smallConfig("jess", PolicyKind::Fixed, 3));
   RunResult B = runExperiment(smallConfig("jess", PolicyKind::Fixed, 3));
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
+  expectSameRun(A, B);
 }
 
 TEST(ExperimentTest, TraceStatsOnlyWhenRequested) {

@@ -25,10 +25,11 @@
 #include "trace/TraceSink.h"
 #include "vm/VirtualMachine.h"
 
+#include "DeepProgram.h"
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace aoci;
@@ -62,149 +63,6 @@ Program loopProgram(int64_t N) {
   }
   B.setEntry(Main);
   return B.build();
-}
-
-/// A three-level call chain under a driver loop:
-///   main()   { t = 0; repeat Calls: t += outer(Iters); return t; }
-///   outer(n) { return mid(n) + 1; }
-///   mid(n)   { return inner(n) + 1; }
-///   inner(n) { s = 0; while (n != 0) { s += n; n--; } return s; }
-/// inner's loop closes with an unconditional jump (a value-neutral
-/// backedge), and the recorded call-site indices let tests hand-build an
-/// outer variant that inlines mid and, inside it, inner.
-struct DeepProgram {
-  Program P;
-  MethodId Main = InvalidMethodId;
-  MethodId Outer = InvalidMethodId;
-  MethodId Mid = InvalidMethodId;
-  MethodId Inner = InvalidMethodId;
-  BytecodeIndex OuterCallsMid = 0;
-  BytecodeIndex MidCallsInner = 0;
-};
-
-DeepProgram deepProgram(int64_t Calls, int64_t Iters) {
-  DeepProgram D;
-  ProgramBuilder B;
-  ClassId C = B.addClass("Main");
-  D.Inner = B.declareMethod(C, "inner", MethodKind::Static, 1, true);
-  {
-    CodeEmitter E = B.code(D.Inner);
-    auto Top = E.newLabel();
-    auto Exit = E.newLabel();
-    E.iconst(0).store(1);
-    E.bind(Top);
-    E.load(0).ifZero(Exit);
-    E.load(1).load(0).iadd().store(1);
-    E.load(0).iconst(1).isub().store(0);
-    E.jump(Top);
-    E.bind(Exit);
-    E.load(1).vreturn();
-    E.finish();
-  }
-  D.Mid = B.declareMethod(C, "mid", MethodKind::Static, 1, true);
-  {
-    CodeEmitter E = B.code(D.Mid);
-    E.load(0);
-    D.MidCallsInner = E.nextIndex();
-    E.invokeStatic(D.Inner);
-    E.iconst(1).iadd().vreturn();
-    E.finish();
-  }
-  D.Outer = B.declareMethod(C, "outer", MethodKind::Static, 1, true);
-  {
-    CodeEmitter E = B.code(D.Outer);
-    E.load(0);
-    D.OuterCallsMid = E.nextIndex();
-    E.invokeStatic(D.Mid);
-    E.iconst(1).iadd().vreturn();
-    E.finish();
-  }
-  D.Main = B.declareMethod(C, "main", MethodKind::Static, 0, true);
-  {
-    CodeEmitter E = B.code(D.Main);
-    auto Top = E.newLabel();
-    auto Exit = E.newLabel();
-    E.iconst(Calls).store(0).iconst(0).store(1);
-    E.bind(Top);
-    E.load(0).ifZero(Exit);
-    E.iconst(Iters).invokeStatic(D.Outer);
-    E.load(1).iadd().store(1);
-    E.load(0).iconst(1).isub().store(0);
-    E.jump(Top);
-    E.bind(Exit);
-    E.load(1).vreturn();
-    E.finish();
-  }
-  B.setEntry(D.Main);
-  D.P = B.build();
-  return D;
-}
-
-int64_t deepProgramResult(int64_t Calls, int64_t Iters) {
-  return Calls * (Iters * (Iters + 1) / 2 + 2);
-}
-
-/// An optimized variant of some method with no inline plan.
-std::unique_ptr<CodeVariant> planlessVariant(const Program &P, MethodId M,
-                                             OptLevel Level) {
-  auto V = std::make_unique<CodeVariant>();
-  V->M = M;
-  V->Level = Level;
-  V->MachineUnits = P.method(M).machineSize();
-  return V;
-}
-
-/// An optimized outer variant that inlines mid and, nested inside it,
-/// inner — the deepest inline group the deep program can form.
-std::unique_ptr<CodeVariant> plannedOuter(const DeepProgram &D,
-                                          OptLevel Level) {
-  InlineCase InnerCase;
-  InnerCase.Callee = D.Inner;
-  InnerCase.BodyUnits = D.P.method(D.Inner).machineSize();
-  InlineCase MidCase;
-  MidCase.Callee = D.Mid;
-  MidCase.BodyUnits = D.P.method(D.Mid).machineSize();
-  MidCase.Body = std::make_unique<InlineNode>();
-  MidCase.Body->getOrCreate(D.MidCallsInner)
-      .Cases.push_back(std::move(InnerCase));
-  InlinePlan Plan;
-  Plan.Root.getOrCreate(D.OuterCallsMid).Cases.push_back(std::move(MidCase));
-  Plan.recountStatistics();
-  Plan.TotalUnits = D.P.method(D.Outer).machineSize() +
-                    D.P.method(D.Mid).machineSize() +
-                    D.P.method(D.Inner).machineSize();
-  auto V = planlessVariant(D.P, D.Outer, Level);
-  V->MachineUnits = Plan.TotalUnits;
-  V->Plan = std::move(Plan);
-  return V;
-}
-
-/// Steps \p T one instruction at a time until \p Done, with a hard bound
-/// so a broken condition fails the test instead of hanging it.
-template <typename Pred>
-void stepUntil(VirtualMachine &VM, ThreadState &T, Pred Done) {
-  for (uint64_t I = 0; I != 10000000; ++I) {
-    if (Done())
-      return;
-    ASSERT_FALSE(T.Finished) << "thread finished before the condition held";
-    VM.step(T, 1);
-  }
-  FAIL() << "condition never held";
-}
-
-/// Locals and operand stack of \p S match frame \p Index bit for bit. The
-/// PC is deliberately not compared: transitions happen at a backedge, so
-/// the frame has already branched relative to a pre-step snapshot.
-void expectSameValues(const FrameSnapshot &S, const ThreadState &T,
-                      size_t Index) {
-  FrameSnapshot Now = snapshotFrame(T, Index);
-  EXPECT_EQ(S.Method, Now.Method);
-  ASSERT_EQ(S.Locals.size(), Now.Locals.size());
-  for (size_t I = 0; I != S.Locals.size(); ++I)
-    EXPECT_TRUE(S.Locals[I].equals(Now.Locals[I])) << "local " << I;
-  ASSERT_EQ(S.Stack.size(), Now.Stack.size());
-  for (size_t I = 0; I != S.Stack.size(); ++I)
-    EXPECT_TRUE(S.Stack[I].equals(Now.Stack[I])) << "stack slot " << I;
 }
 
 //===----------------------------------------------------------------------===//
@@ -436,26 +294,6 @@ TEST(OsrDeoptTest, DeoptComposesWithOsrEntry) {
 // (2) OSR off is byte-identical; on, it must actually pay off somewhere.
 //===----------------------------------------------------------------------===//
 
-void expectIdenticalResults(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.OsrEntries, B.OsrEntries);
-  EXPECT_EQ(A.Deopts, B.Deopts);
-  EXPECT_EQ(A.OsrTransitionCycles, B.OsrTransitionCycles);
-}
-
 TEST(OsrExperimentTest, OsrOffIsByteIdenticalToTheDefault) {
   RunConfig Default;
   Default.WorkloadName = "compress";
@@ -468,7 +306,7 @@ TEST(OsrExperimentTest, OsrOffIsByteIdenticalToTheDefault) {
 
   RunResult A = runExperiment(Default);
   RunResult B = runExperiment(Off);
-  expectIdenticalResults(A, B);
+  expectSameRun(A, B);
   EXPECT_EQ(A.OsrEntries, 0u);
   EXPECT_EQ(A.Deopts, 0u);
   EXPECT_EQ(A.OsrTransitionCycles, 0u);
@@ -515,7 +353,7 @@ TEST(OsrTraceTest, TracingAnOsrRunChargesZeroCycles) {
   Traced.Trace = &Sink;
   RunResult WithTrace = runExperiment(Traced);
 
-  expectIdenticalResults(Plain, WithTrace);
+  expectSameRun(Plain, WithTrace);
   ASSERT_GT(Plain.OsrEntries, 0u);
   uint64_t OsrEvents = 0;
   Sink.forEach([&](const TraceEvent &E) {
@@ -559,30 +397,6 @@ TEST(OsrGridTest, ParallelGridCsvMatchesSerialWithOsrOn) {
 // Golden trace: the OSR event stream's exported bytes are pinned.
 //===----------------------------------------------------------------------===//
 
-/// Same update-or-compare protocol as TraceTest / FingerprintTest:
-/// AOCI_UPDATE_GOLDEN=1 rewrites the fixture instead of comparing.
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "OSR trace export drifted from " << Path
-      << "; either the transition sequence or the JSON serialization "
-         "changed. If intentional, rerun with AOCI_UPDATE_GOLDEN=1, "
-         "review the fixture diff, and update OBSERVABILITY.md if the "
-         "schema moved";
-}
-
 TEST(OsrGoldenTest, DeoptAndOsrTraceJsonMatchesGolden) {
   // A fully hand-driven scenario (the stock workloads never deopt): a
   // deep inline group is deoptimized, the freed inner activation then
@@ -614,7 +428,9 @@ TEST(OsrGoldenTest, DeoptAndOsrTraceJsonMatchesGolden) {
 
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "osr/deopt-compose");
-  expectMatchesGolden("trace_osr_deopt.golden", Json.str());
+  expectMatchesGolden("trace_osr_deopt.golden", Json.str(),
+                      "the transition sequence or the JSON serialization "
+                      "changed; update OBSERVABILITY.md if the schema moved");
 }
 
 //===----------------------------------------------------------------------===//

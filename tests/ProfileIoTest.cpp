@@ -9,12 +9,11 @@
 #include "profile/ProfileIo.h"
 #include "workload/FigureOne.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 using namespace aoci;
 
@@ -275,24 +274,11 @@ TEST(ProfileIoTest, V2GoldenProfileRoundTripsBitExactly) {
   // ProfileData reproduces the fixture byte-for-byte, and parsing the
   // fixture then re-serializing is the identity (so the on-disk format
   // cannot drift without this test noticing).
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/profile_v2.golden";
   const std::string Text = serializeProfileData(sampleProfileData());
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream Out(Path, std::ios::binary);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Text;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Text)
-      << "v2 profile bytes drifted from the checked-in fixture";
+  expectMatchesGolden("profile_v2.golden", Text,
+                      "the v2 profile bytes changed");
   ProfileData Back;
   std::string Error;
-  ASSERT_TRUE(parseProfile(Buffer.str(), Back, Error)) << Error;
-  EXPECT_EQ(serializeProfileData(Back), Buffer.str());
+  ASSERT_TRUE(parseProfile(Text, Back, Error)) << Error;
+  EXPECT_EQ(serializeProfileData(Back), Text);
 }

@@ -21,13 +21,13 @@
 #include "trace/TraceSink.h"
 #include "vm/Overhead.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <sys/wait.h>
@@ -179,25 +179,6 @@ TEST(TraceSinkTest, AdoptEventsTakesTheOtherStream) {
 // (1) Zero simulated cost: traced and untraced runs are bit-identical.
 //===----------------------------------------------------------------------===//
 
-/// The result fields the cost contract promises are unaffected by
-/// tracing (everything the CSVs export).
-void expectIdenticalResults(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-}
-
 RunConfig smallRun() {
   RunConfig Config;
   Config.WorkloadName = "compress";
@@ -217,7 +198,7 @@ TEST(TraceCostTest, TracingDoesNotMoveTheSimulatedClock) {
   Traced.Trace = &Sink;
   RunResult WithTrace = runExperiment(Traced);
 
-  expectIdenticalResults(Plain, WithTrace);
+  expectSameRun(Plain, WithTrace);
   EXPECT_GT(Sink.numEvents(), 0u);
 }
 
@@ -227,7 +208,7 @@ TEST(TraceCostTest, AttachedButDisabledSinkRecordsNothing) {
   Config.Trace = &Sink;
   RunResult R = runExperiment(Config);
   EXPECT_EQ(Sink.numEvents(), 0u);
-  expectIdenticalResults(runExperiment(smallRun()), R);
+  expectSameRun(runExperiment(smallRun()), R);
 }
 
 TEST(TraceCostTest, KindMaskFiltersAtTheHook) {
@@ -368,33 +349,9 @@ TEST(TraceGridTest, GridKindMaskRestrictsEveryStream) {
 
 const std::string SourceDir = AOCI_SOURCE_DIR;
 const std::string GoldenDir = AOCI_GOLDEN_DIR;
-
-/// Same update-or-compare protocol as FingerprintTest / GoldenTest:
-/// AOCI_UPDATE_GOLDEN=1 rewrites the file at \p Path instead of comparing.
-void expectMatchesFile(const std::string &Path, const std::string &Actual) {
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << Path << " no longer matches what the trace library writes; "
-         "either the adaptive system's event stream, the JSON "
-         "serialization or the kind table changed. If intentional, rerun "
-         "with AOCI_UPDATE_GOLDEN=1, review the diff, and update "
-         "OBSERVABILITY.md if the schema moved";
-}
-
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  expectMatchesFile(GoldenDir + "/" + Name, Actual);
-}
+constexpr const char *TraceDrift =
+    "the adaptive system's event stream, the JSON serialization or the "
+    "kind table changed; update OBSERVABILITY.md if the schema moved";
 
 TEST(TraceGoldenTest, AdaptiveLoopTraceJsonMatchesGolden) {
   // The decision-level kinds only: high-volume per-sample kinds (sample,
@@ -419,7 +376,8 @@ TEST(TraceGoldenTest, AdaptiveLoopTraceJsonMatchesGolden) {
 
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "compress/fixed.d2");
-  expectMatchesGolden("trace_compress_fixed_d2.golden", Json.str());
+  expectMatchesGolden("trace_compress_fixed_d2.golden", Json.str(),
+                      TraceDrift);
 }
 
 TEST(TraceGoldenTest, EveryKindRendersAsPinned) {
@@ -508,7 +466,8 @@ TEST(TraceGoldenTest, EveryKindRendersAsPinned) {
 
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "every-kind");
-  expectMatchesGolden("trace_every_kind.golden", Json.str());
+  expectMatchesGolden("trace_every_kind.golden", Json.str(),
+                      TraceDrift);
 }
 
 //===----------------------------------------------------------------------===//
@@ -519,42 +478,8 @@ TEST(TraceGoldenTest, EveryKindRendersAsPinned) {
 TEST(TraceSchemaTest, CheckedInSchemaIsTheGeneratedOne) {
   std::ostringstream Schema;
   writeTraceSchema(Schema);
-  expectMatchesFile(SourceDir + "/docs/trace-event.schema.json", Schema.str());
-}
-
-std::vector<std::string> readLines(const std::string &Path) {
-  std::ifstream In(Path);
-  std::vector<std::string> Lines;
-  for (std::string Line; std::getline(In, Line);)
-    Lines.push_back(Line);
-  return Lines;
-}
-
-/// The trimmed cells of a markdown table row: "| a | b |" -> {a, b}.
-std::vector<std::string> tableCells(const std::string &Row) {
-  std::vector<std::string> Cells;
-  std::stringstream In(Row.substr(Row.find('|') + 1));
-  for (std::string Cell; std::getline(In, Cell, '|');) {
-    const size_t First = Cell.find_first_not_of(' ');
-    const size_t Last = Cell.find_last_not_of(' ');
-    Cells.push_back(First == std::string::npos
-                        ? ""
-                        : Cell.substr(First, Last - First + 1));
-  }
-  return Cells;
-}
-
-/// The `backticked` spans of \p Text.
-std::vector<std::string> codeSpans(const std::string &Text) {
-  std::vector<std::string> Spans;
-  for (size_t Open = Text.find('`'); Open != std::string::npos;) {
-    const size_t Close = Text.find('`', Open + 1);
-    if (Close == std::string::npos)
-      break;
-    Spans.push_back(Text.substr(Open + 1, Close - Open - 1));
-    Open = Text.find('`', Close + 1);
-  }
-  return Spans;
+  expectMatchesFile(SourceDir + "/docs/trace-event.schema.json", Schema.str(),
+                    TraceDrift);
 }
 
 /// The type column OBSERVABILITY.md gives an arg.
