@@ -170,6 +170,8 @@ TEST(CliTest, FuzzGolden) {
   expectGolden("fuzz", {{"fuzz --seed 3 --budget 4 --scale 0.05", {}}});
 }
 
+TEST(CliTest, Table1Golden) { expectGolden("table1", {{"table1", {}}}); }
+
 TEST(CliTest, ListAndDisasmGolden) {
   expectGolden("list_disasm",
                {{"list", {}},
