@@ -18,6 +18,9 @@
 //     run still executing in superseded code after its replacement was
 //     compiled.
 //
+// Honors AOCI_SCALE, a finite positive run-length multiplier (any other
+// value is an error).
+//
 //===----------------------------------------------------------------------===//
 
 #include "harness/Experiment.h"
@@ -26,6 +29,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 using namespace aoci;
 
@@ -124,8 +128,12 @@ void ablateOsr(double Scale) {
 
 int main() {
   double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  std::string Error;
+  if (const char *S = std::getenv("AOCI_SCALE");
+      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
+    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+    return 2;
+  }
 
   for (const char *W : Benchmarks) {
     std::printf("== %s (fixed, max depth 3; deltas are speedup vs the "

@@ -18,10 +18,10 @@
 // A threshold leg that never settles is a censored observation; the
 // budget leg wins it by settling at all.
 //
-// Honors AOCI_SCALE like the figure sweeps. With --json FILE it writes
-// per-leg warmup cycles in google-benchmark JSON shape so
-// tools/check_bench_regression.py can gate run-over-run drift
-// (BENCH_budget.json in CI).
+// Honors AOCI_SCALE, a finite positive run-length multiplier (any other
+// value is an error). With --json FILE it writes per-leg warmup cycles
+// in google-benchmark JSON shape so tools/check_bench_regression.py can
+// gate run-over-run drift (BENCH_budget.json in CI).
 //
 //===----------------------------------------------------------------------===//
 
@@ -97,8 +97,12 @@ int main(int argc, char **argv) {
   }
 
   double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  std::string Error;
+  if (const char *S = std::getenv("AOCI_SCALE");
+      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
+    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+    return 2;
+  }
 
   std::vector<Entry> Benchmarks;
   for (const std::string &W : workloadNames())

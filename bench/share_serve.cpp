@@ -31,9 +31,10 @@
 //     db) exports byte-identical CSV and trace bytes at --jobs 1 and
 //     --jobs 4.
 //
-// Honors AOCI_SCALE like the figure sweeps. With --json FILE it also
-// writes per-workload compile-cycle bills in google-benchmark JSON
-// shape so tools/check_bench_regression.py can gate run-over-run drift
+// Honors AOCI_SCALE, a finite positive run-length multiplier (any other
+// value is an error). With --json FILE it also writes per-workload
+// compile-cycle bills in google-benchmark JSON shape so
+// tools/check_bench_regression.py can gate run-over-run drift
 // (BENCH_share.json in CI).
 //
 //===----------------------------------------------------------------------===//
@@ -95,8 +96,12 @@ int main(int argc, char **argv) {
   }
 
   double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  std::string Error;
+  if (const char *S = std::getenv("AOCI_SCALE");
+      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
+    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+    return 2;
+  }
 
   bool Pass = true;
   std::string Json;

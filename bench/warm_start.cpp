@@ -34,8 +34,9 @@
 //   - across all stale legs, the deopt counter is nonzero (wrong
 //     speculation actually exercised the walk-back machinery).
 //
-// Honors AOCI_SCALE like the figure sweeps. With --json FILE it also
-// writes the per-leg warmup cycles in google-benchmark JSON shape so
+// Honors AOCI_SCALE, a finite positive run-length multiplier (any other
+// value is an error). With --json FILE it also writes the per-leg warmup
+// cycles in google-benchmark JSON shape so
 // tools/check_bench_regression.py can gate run-over-run drift
 // (BENCH_warm_start.json in CI).
 //
@@ -137,8 +138,12 @@ int main(int argc, char **argv) {
   }
 
   double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  std::string Error;
+  if (const char *S = std::getenv("AOCI_SCALE");
+      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
+    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+    return 2;
+  }
 
   const std::vector<std::string> &Workloads = workloadNames();
   unsigned WarmFaster = 0;

@@ -11,9 +11,29 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 
 using namespace aoci;
+
+namespace {
+
+struct PaperRow {
+  const char *Name;
+  unsigned Classes;
+  unsigned Methods;
+  unsigned Bytecodes;
+};
+
+// Table 1 of the paper.
+const PaperRow PaperTable[] = {
+    {"compress", 48, 489, 19480},   {"jess", 176, 1101, 35316},
+    {"db", 41, 510, 20495},         {"javac", 176, 1496, 56282},
+    {"mpegaudio", 85, 712, 51308},  {"mtrt", 62, 629, 24435},
+    {"jack", 86, 743, 36253},       {"SPECjbb2000", 132, 1778, 73608},
+};
+
+} // namespace
 
 std::string aoci::reportTable1(const std::vector<RunResult> &Runs) {
   std::vector<std::string> Header = {"Benchmark", "Classes", "Methods",
@@ -24,9 +44,16 @@ std::string aoci::reportTable1(const std::vector<RunResult> &Runs) {
                     formatString("%u", R.MethodsCompiled),
                     formatString("%llu", static_cast<unsigned long long>(
                                              R.BytecodesCompiled))});
-  return "Table 1: benchmark characteristics (classes loaded, methods and "
-         "bytecodes dynamically compiled)\n" +
-         renderTable(Header, Rows);
+  std::string Out = "Table 1: benchmark characteristics (classes loaded, "
+                    "methods and bytecodes dynamically compiled)\n" +
+                    renderTable(Header, Rows);
+  Out += "\nPaper reference values:\n";
+  Out += formatString("%-12s %8s %8s %10s\n", "Benchmark", "Classes",
+                      "Methods", "Bytecodes");
+  for (const PaperRow &Row : PaperTable)
+    Out += formatString("%-12s %8u %8u %10u\n", Row.Name, Row.Classes,
+                        Row.Methods, Row.Bytecodes);
+  return Out;
 }
 
 namespace {
@@ -80,10 +107,22 @@ std::string aoci::reportFigure4(const GridResults &Results,
 std::string aoci::reportFigure5(const GridResults &Results,
                                 const std::vector<PolicyKind> &Policies,
                                 const std::vector<unsigned> &Depths) {
-  return reportMetricGrid(
+  std::string Out = reportMetricGrid(
       "Figure 5: optimized code size change over context-insensitive "
       "inlining (negative = smaller, desirable)",
       Results, Policies, Depths, &GridResults::codeSizePercent);
+  // Absolute anchors for the relative panels above: "code space" is the
+  // resident (live) optimized code; the cumulative-generated figure also
+  // counts code obsoleted by recompilation and tracks compile time.
+  Out += "\ncontext-insensitive baseline code size (bytes):\n";
+  for (const std::string &W : Results.workloads()) {
+    const RunResult &B = Results.baseline(W);
+    Out += formatString("  %-12s %llu resident / %llu generated\n",
+                        W.c_str(),
+                        static_cast<unsigned long long>(B.OptBytesResident),
+                        static_cast<unsigned long long>(B.OptBytesGenerated));
+  }
+  return Out;
 }
 
 std::string
@@ -107,16 +146,27 @@ std::string aoci::reportFigure6(const GridResults &Results,
     Header.push_back(aosComponentName(static_cast<AosComponent>(C)));
   Header.push_back("total");
 
-  auto averagedRow = [&](const std::string &Label,
-                         const std::function<const RunResult &(
-                             const std::string &)> &Select) {
+  using Select = std::function<const RunResult &(const std::string &)>;
+  const Select Cins = [&](const std::string &W) -> const RunResult & {
+    return Results.baseline(W);
+  };
+  auto cell = [&](PolicyKind Policy, unsigned D) -> Select {
+    return [&Results, Policy, D](const std::string &W) -> const RunResult & {
+      return Results.cell(W, Policy, D);
+    };
+  };
+  // One component's share of execution, averaged over the benchmarks.
+  auto meanShare = [&](const Select &Run, AosComponent C) {
+    double Sum = 0;
+    for (const std::string &W : Results.workloads())
+      Sum += Run(W).componentFraction(C);
+    return Sum / static_cast<double>(Results.workloads().size());
+  };
+  auto averagedRow = [&](const std::string &Label, const Select &Run) {
     std::vector<std::string> Row = {Label};
     double Total = 0;
     for (unsigned C = 0; C != NumAosComponents; ++C) {
-      double Sum = 0;
-      for (const std::string &W : Results.workloads())
-        Sum += Select(W).componentFraction(static_cast<AosComponent>(C));
-      double Avg = Sum / static_cast<double>(Results.workloads().size());
+      const double Avg = meanShare(Run, static_cast<AosComponent>(C));
       Total += Avg;
       Row.push_back(formatString("%.4f%%", Avg * 100.0));
     }
@@ -124,19 +174,25 @@ std::string aoci::reportFigure6(const GridResults &Results,
     return Row;
   };
 
-  std::vector<std::vector<std::string>> Rows;
-  Rows.push_back(averagedRow(
-      "cins", [&](const std::string &W) -> const RunResult & {
-        return Results.baseline(W);
-      }));
+  std::vector<std::vector<std::string>> Rows = {averagedRow("cins", Cins)};
   for (PolicyKind Policy : Policies)
     for (unsigned D : Depths)
-      Rows.push_back(averagedRow(
-          formatString("%s max=%u", policyKindName(Policy), D),
-          [&](const std::string &W) -> const RunResult & {
-            return Results.cell(W, Policy, D);
-          }));
+      Rows.push_back(
+          averagedRow(formatString("%s max=%u", policyKindName(Policy), D),
+                      cell(Policy, D)));
   Out += renderTable(Header, Rows);
+
+  // The compilation-thread share relative to cins, per policy x depth.
+  const double CinsShare = meanShare(Cins, AosComponent::Compilation);
+  Out += "\nRelative change of the compilation-thread share vs cins "
+         "(paper: 8-33% reductions):\n";
+  for (PolicyKind Policy : Policies)
+    for (unsigned D : Depths)
+      Out += formatString(
+          "  %-10s max=%u: %+.1f%%\n", policyKindName(Policy), D,
+          (meanShare(cell(Policy, D), AosComponent::Compilation) / CinsShare -
+           1.0) *
+              100.0);
   return Out;
 }
 
@@ -148,18 +204,39 @@ std::string aoci::reportSection4(const std::vector<RunResult> &Runs) {
       "benchmark",       "samples",       "callee paramless",
       "paramless<=5",    "classMeth<=2",  "large>=4",
       "mean trace depth"};
+  // The chain-position fractions, in column order.
+  auto fractions = [](const TraceStatistics &S) {
+    return std::array<double, 4>{
+        S.calleeParameterlessFraction(), S.parameterlessWithin(5),
+        S.classMethodWithin(2), S.largeMethodAtOrBeyond(4)};
+  };
   std::vector<std::vector<std::string>> Rows;
+  uint64_t Samples = 0;
+  std::array<double, 4> Sums = {};
   for (const RunResult &R : Runs) {
     const TraceStatistics &S = R.TraceStats;
-    Rows.push_back(
-        {R.WorkloadName,
-         formatString("%llu",
-                      static_cast<unsigned long long>(S.numSamples())),
-         formatString("%.0f%%", S.calleeParameterlessFraction() * 100),
-         formatString("%.0f%%", S.parameterlessWithin(5) * 100),
-         formatString("%.0f%%", S.classMethodWithin(2) * 100),
-         formatString("%.0f%%", S.largeMethodAtOrBeyond(4) * 100),
-         formatString("%.2f", S.meanRecordedDepth())});
+    std::vector<std::string> Row = {
+        R.WorkloadName,
+        formatString("%llu", static_cast<unsigned long long>(S.numSamples()))};
+    const std::array<double, 4> F = fractions(S);
+    for (size_t I = 0; I != F.size(); ++I) {
+      Row.push_back(formatString("%.0f%%", F[I] * 100));
+      Sums[I] += F[I];
+    }
+    Row.push_back(formatString("%.2f", S.meanRecordedDepth()));
+    Rows.push_back(std::move(Row));
+    Samples += S.numSamples();
+  }
+  // The suite row, in the paper's phrasing: total samples and the mean
+  // of each fraction over the benchmarks.
+  if (!Runs.empty()) {
+    std::vector<std::string> Suite = {
+        "suite", formatString("%llu", static_cast<unsigned long long>(Samples))};
+    for (double Sum : Sums)
+      Suite.push_back(formatString(
+          "%.0f%%", Sum / static_cast<double>(Runs.size()) * 100));
+    Suite.push_back("-");
+    Rows.push_back(std::move(Suite));
   }
   Out += renderTable(Header, Rows);
   Out += "\nPaper reference bands: ~20% of callees immediately "

@@ -24,7 +24,8 @@
 
 namespace aoci {
 
-/// Table 1: classes loaded, methods and bytecodes dynamically compiled.
+/// Table 1: classes loaded, methods and bytecodes dynamically compiled,
+/// followed by the paper's reference values.
 std::string reportTable1(const std::vector<RunResult> &Runs);
 
 /// Figure 4: one speedup panel per policy (benchmarks x depths, plus the
@@ -33,7 +34,8 @@ std::string reportFigure4(const GridResults &Results,
                           const std::vector<PolicyKind> &Policies,
                           const std::vector<unsigned> &Depths);
 
-/// Figure 5: the same grid for optimized-code-size change.
+/// Figure 5: the same grid for optimized-code-size change, followed by
+/// each benchmark's cins code size in bytes (resident and generated).
 std::string reportFigure5(const GridResults &Results,
                           const std::vector<PolicyKind> &Policies,
                           const std::vector<unsigned> &Depths);
@@ -45,12 +47,14 @@ std::string reportCompileTime(const GridResults &Results,
                               const std::vector<unsigned> &Depths);
 
 /// Figure 6: percent of execution time in each AOS component, averaged
-/// over the benchmarks, for cins plus each policy x depth.
+/// over the benchmarks, for cins plus each policy x depth; then each
+/// policy x depth's compilation-thread share relative to cins.
 std::string reportFigure6(const GridResults &Results,
                           const std::vector<PolicyKind> &Policies,
                           const std::vector<unsigned> &Depths);
 
-/// Section 4 statistics: parameterless/class/large chain positions.
+/// Section 4 statistics: parameterless/class/large chain positions, one
+/// row per run plus a suite row (total samples, mean of each fraction).
 std::string reportSection4(const std::vector<RunResult> &Runs);
 
 /// The abstract's summary numbers derived from a grid.

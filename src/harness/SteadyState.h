@@ -17,7 +17,8 @@
 /// stream — byte-deterministic like everything else in the harness.
 ///
 /// Consumers: RunMetrics (steady/warmup/steady-cycle columns), `aoci
-/// steady`, bench/steady_state.cpp, and the steady-gated CI perf job.
+/// steady` (which is also the steady-state gate of the CI perf job), and
+/// the warm-start and budget-organizer bench gates.
 ///
 //===----------------------------------------------------------------------===//
 

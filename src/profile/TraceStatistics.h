@@ -14,7 +14,7 @@
 /// distributions back the paper's claims (20% of callees immediately
 /// parameterless; 50-80% of traces hit a parameterless call within five
 /// levels; 50-80% hit a class method within two edges; ~half need four or
-/// more edges to reach a large method) and the sec4_trace_stats bench.
+/// more edges to reach a large method) and `aoci section4`.
 ///
 //===----------------------------------------------------------------------===//
 

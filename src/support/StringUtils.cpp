@@ -8,8 +8,11 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
+#include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace aoci;
 
@@ -71,4 +74,26 @@ aoci::renderTable(const std::vector<std::string> &Header,
 
 std::string aoci::formatPercent(double Percent) {
   return formatString("%+.1f%%", Percent);
+}
+
+bool aoci::parseReal(const std::string &Text, RealFloor Bound, double &Out,
+                     std::string &Error) {
+  char *End = nullptr;
+  const double X = std::strtod(Text.c_str(), &End);
+  bool Valid = !Text.empty() &&
+               !std::isspace(static_cast<unsigned char>(Text[0])) &&
+               End == Text.c_str() + Text.size() && std::isfinite(X);
+  if (Bound == RealFloor::NonNegative)
+    Valid &= X >= 0;
+  if (Bound == RealFloor::Positive)
+    Valid &= X > 0;
+  if (!Valid) {
+    static const char *const Kind[] = {"a finite", "a finite non-negative",
+                                       "a finite positive"};
+    Error = formatString("expected %s number, got '%s'",
+                         Kind[static_cast<int>(Bound)], Text.c_str());
+    return false;
+  }
+  Out = X;
+  return true;
 }

@@ -7,7 +7,9 @@
 ///
 /// \file
 /// printf-style std::string formatting and simple table rendering used by
-/// the reporters that regenerate the paper's tables and figures as text.
+/// the reporters that regenerate the paper's tables and figures as text,
+/// plus the checked real-number parser behind `aoci`'s real-valued flags
+/// and the bench drivers' AOCI_SCALE.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +33,16 @@ std::string renderTable(const std::vector<std::string> &Header,
 
 /// Formats a signed percentage with one decimal, e.g. "+5.3%" / "-4.2%".
 std::string formatPercent(double Percent);
+
+/// The lower bound parseReal enforces.
+enum class RealFloor { None, NonNegative, Positive };
+
+/// Parses all of \p Text as a finite real number respecting \p Bound: no
+/// leading whitespace, no trailing characters, no nan or inf. On bad
+/// input returns false, leaves \p Out alone and sets \p Error to a
+/// diagnostic that quotes \p Text.
+bool parseReal(const std::string &Text, RealFloor Bound, double &Out,
+               std::string &Error);
 
 } // namespace aoci
 

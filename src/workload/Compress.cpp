@@ -156,7 +156,7 @@ Workload aoci::makeCompress(WorkloadParams Params) {
   MethodId Main = B.declareMethod(MainK, "main", MethodKind::Static, 0, true);
   {
     // Locals: 0=in 1=out 2=comp 3=blockLoop 4=innerLoop 5=acc 6=i
-    const int64_t Blocks = static_cast<int64_t>(2400 * Params.Scale);
+    const int64_t Blocks = scaledCount(2400, Params.Scale);
     CodeEmitter E = B.code(Main);
     E.invokeStatic(ColdInit);
     E.newObject(Buffer).store(0);

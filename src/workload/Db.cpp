@@ -125,7 +125,7 @@ Workload aoci::makeDb(WorkloadParams Params) {
   MethodId Main = B.declareMethod(MainK, "main", MethodKind::Static, 0, true);
   {
     // Locals: 0=db 1=records 2=loop 3=acc 4=rec 5=i
-    const int64_t Rounds = static_cast<int64_t>(700 * Params.Scale);
+    const int64_t Rounds = scaledCount(700, Params.Scale);
     const int64_t NumRecords = 48;
     CodeEmitter E = B.code(Main);
     E.invokeStatic(ColdInit);

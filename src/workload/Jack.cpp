@@ -125,7 +125,7 @@ Workload aoci::makeJack(WorkloadParams Params) {
   MethodId Main = B.declareMethod(MainK, "main", MethodKind::Static, 0, true);
   {
     // Locals: 0=parser 1=loop 2=acc
-    const int64_t Rules = static_cast<int64_t>(36000 * Params.Scale);
+    const int64_t Rules = scaledCount(36000, Params.Scale);
     CodeEmitter E = B.code(Main);
     E.invokeStatic(ColdInit);
     E.newObject(Parser).store(0);

@@ -143,7 +143,7 @@ Workload aoci::makeJavac(WorkloadParams Params) {
   MethodId Main = B.declareMethod(MainK, "main", MethodKind::Static, 0, true);
   {
     // Locals: 0=parser 1=loop 2=acc
-    const int64_t Units = static_cast<int64_t>(15000 * Params.Scale);
+    const int64_t Units = scaledCount(15000, Params.Scale);
     CodeEmitter E = B.code(Main);
     E.invokeStatic(ColdInit);
     E.newObject(Parser).store(0);

@@ -150,8 +150,7 @@ Workload aoci::makeJbb(WorkloadParams Params) {
   MethodId Main = B.declareMethod(MainK, "main", MethodKind::Static, 0, true);
   {
     // Locals: 0=manager 1=loop 2=acc
-    const int64_t StepsPerPhase =
-        static_cast<int64_t>(36000 * Params.Scale);
+    const int64_t StepsPerPhase = scaledCount(36000, Params.Scale);
     CodeEmitter E = B.code(Main);
     E.invokeStatic(ColdInit);
     E.newObject(Manager).store(0);

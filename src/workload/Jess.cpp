@@ -187,7 +187,7 @@ Workload aoci::makeJess(WorkloadParams Params) {
   MethodId Main = B.declareMethod(MainK, "main", MethodKind::Static, 0, true);
   {
     // Locals: 0=engine 1=token 2=factKey 3=bindKey 4=loop 5=acc 6=tmp
-    const int64_t Cycles = static_cast<int64_t>(56000 * Params.Scale);
+    const int64_t Cycles = scaledCount(56000, Params.Scale);
     CodeEmitter E = B.code(Main);
     E.invokeStatic(ColdInit);
     E.newObject(Engine).store(0);

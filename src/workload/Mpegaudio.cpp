@@ -102,7 +102,7 @@ Workload aoci::makeMpegaudio(WorkloadParams Params) {
   MethodId Main = B.declareMethod(MainK, "main", MethodKind::Static, 0, true);
   {
     // Locals: 0=decoder 1=loop 2=acc
-    const int64_t Frames = static_cast<int64_t>(80000 * Params.Scale);
+    const int64_t Frames = scaledCount(80000, Params.Scale);
     CodeEmitter E = B.code(Main);
     E.invokeStatic(ColdInit);
     E.newObject(Decoder).store(0);

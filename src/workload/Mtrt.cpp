@@ -127,8 +127,7 @@ Workload aoci::makeMtrt(WorkloadParams Params) {
     E.finish();
   }
 
-  const int64_t PixelsPerThread =
-      static_cast<int64_t>(11000 * Params.Scale);
+  const int64_t PixelsPerThread = scaledCount(11000, Params.Scale);
   MethodId ThreadA =
       B.declareMethod(MainK, "renderThreadA", MethodKind::Static, 0, true);
   {

@@ -10,6 +10,8 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 using namespace aoci;
 
@@ -25,6 +27,19 @@ void aoci::emitCountedLoop(CodeEmitter &E, unsigned Slot, int64_t Count,
   E.load(Slot).iconst(1).isub().store(Slot);
   E.jump(Top);
   E.bind(Exit);
+}
+
+int64_t aoci::scaledCount(double Base, double Scale, CountRounding Rounding) {
+  const double X = Base * Scale;
+  const double Count =
+      Rounding == CountRounding::Nearest ? std::round(X) : std::trunc(X);
+  // Every double in [-2^63, 2^63) converts exactly; NaN fails both tests.
+  if (!(Count >= -0x1p63 && Count < 0x1p63))
+    throw std::invalid_argument(formatString(
+        "scale '%g' turns a loop count of %g into %g, which does not fit "
+        "a 64-bit integer",
+        Scale, Base, X));
+  return static_cast<int64_t>(Count);
 }
 
 namespace {

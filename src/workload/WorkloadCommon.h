@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Utilities shared by the workload generators: counted-loop emission,
-/// receiver-rotation helpers, and the procedurally generated cold library
+/// checked scaling of loop counts, receiver-rotation helpers, and the procedurally generated cold library
 /// that pads class/method/bytecode counts toward Table 1 without
 /// affecting the hot kernel (every cold method is invoked exactly once
 /// from an init phase, so it is baseline-compiled and counted but never
@@ -29,6 +29,16 @@ namespace aoci {
 /// not be used by \p Body for anything else.
 void emitCountedLoop(CodeEmitter &E, unsigned Slot, int64_t Count,
                      const std::function<void(CodeEmitter &)> &Body);
+
+/// How scaledCount rounds the scaled product.
+enum class CountRounding { TowardZero, Nearest };
+
+/// \p Base * \p Scale as a loop trip count, rounded per \p Rounding.
+/// Throws std::invalid_argument when the product is not a finite value
+/// that fits int64_t (a scale of 1e300, say), where a plain conversion
+/// would be undefined behaviour.
+int64_t scaledCount(double Base, double Scale,
+                    CountRounding Rounding = CountRounding::TowardZero);
 
 /// Cold-library sizing.
 struct ColdLibrarySpec {

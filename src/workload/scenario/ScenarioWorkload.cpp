@@ -12,7 +12,6 @@
 #include "workload/WorkloadCommon.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace aoci;
 
@@ -280,10 +279,9 @@ Workload aoci::makeScenarioWorkload(const ScenarioSpec &SpecIn,
     E.iconst(0).store(1);
     for (unsigned I = 0; I != Spec.Phases.size(); ++I) {
       E.invokeStatic(Phases[I].Begin);
-      const double Scaled =
-          static_cast<double>(Spec.Phases[I].Iterations) * Params.Scale;
-      const int64_t Iters =
-          std::max<int64_t>(1, static_cast<int64_t>(std::llround(Scaled)));
+      const int64_t Iters = std::max<int64_t>(
+          1, scaledCount(static_cast<double>(Spec.Phases[I].Iterations),
+                         Params.Scale, CountRounding::Nearest));
       emitCountedLoop(E, /*Slot=*/2, Iters, [&](CodeEmitter &E) {
         E.load(1);
         E.load(0).load(2).invokeStatic(Phases[I].Kernel);

@@ -172,6 +172,10 @@ TEST(CliTest, FuzzGolden) {
 
 TEST(CliTest, Table1Golden) { expectGolden("table1", {{"table1", {}}}); }
 
+TEST(CliTest, Section4Golden) {
+  expectGolden("section4", {{"section4", {}}});
+}
+
 TEST(CliTest, ListAndDisasmGolden) {
   expectGolden("list_disasm",
                {{"list", {}},
@@ -207,6 +211,11 @@ const RejectCase RejectCases[] = {
      "--budget-min-weight", "abc"},
     {"min_weight_negative", "run compress --budget-min-weight -1",
      "--budget-min-weight", "-1"},
+    // A scale whose loop counts overflow int64_t: the workload
+    // generators refuse it, whatever the workload.
+    {"scale_overflow", "run compress --scale 1e17", "scale", "1e+17"},
+    {"scale_overflow_scenario", "run scn-phase-flip --scale 1e300", "scale",
+     "1e+300"},
     // Names: workloads, reports, policies, tenants, trace kinds.
     {"grid_workload", "grid --workloads bogus", "--workloads", "bogus"},
     {"steady_workload", "steady --workloads compress,bogus", "--workloads",
@@ -246,6 +255,8 @@ const RejectCase RejectCases[] = {
     {"foreign_flag", "steady --organizer budget", "--organizer",
      "--organizer"},
     {"missing_value", "run compress --scale", "--scale", "--scale"},
+    {"section4_operand", "section4 compress", "section4", "compress"},
+    {"section4_flag", "section4 --scale 0.1", "section4", "--scale"},
     {"warm_start_missing", "run compress --warm-start missing.prof",
      "--warm-start", "missing.prof"},
 };

@@ -229,6 +229,43 @@ TEST(StringUtilsTest, RenderTableAlignsColumns) {
   EXPECT_NE(Out.find("22"), std::string::npos);
 }
 
+TEST(StringUtilsTest, ParseRealTakesWholeFiniteTokens) {
+  double X = -7;
+  std::string Error;
+  EXPECT_TRUE(parseReal("0.25", RealFloor::Positive, X, Error));
+  EXPECT_EQ(X, 0.25);
+  EXPECT_TRUE(parseReal("1e3", RealFloor::None, X, Error));
+  EXPECT_EQ(X, 1000);
+  EXPECT_TRUE(parseReal("-1.5", RealFloor::None, X, Error));
+  EXPECT_EQ(X, -1.5);
+  EXPECT_TRUE(parseReal("0", RealFloor::NonNegative, X, Error));
+  EXPECT_EQ(X, 0);
+  EXPECT_TRUE(Error.empty());
+}
+
+TEST(StringUtilsTest, ParseRealRejectsJunkNonFiniteAndOutOfBound) {
+  const std::pair<const char *, RealFloor> Bad[] = {
+      {"", RealFloor::None},           {"abc", RealFloor::None},
+      {" 1", RealFloor::None},         {"1 ", RealFloor::None},
+      {"0.1x", RealFloor::None},       {"nan", RealFloor::None},
+      {"inf", RealFloor::None},        {"-inf", RealFloor::None},
+      {"1e999", RealFloor::None},      {"-1", RealFloor::NonNegative},
+      {"0", RealFloor::Positive},      {"-0.5", RealFloor::Positive},
+  };
+  for (const auto &[Text, Bound] : Bad) {
+    double X = 42;
+    std::string Error;
+    EXPECT_FALSE(parseReal(Text, Bound, X, Error)) << "'" << Text << "'";
+    EXPECT_EQ(X, 42) << "'" << Text << "' was written";
+    EXPECT_NE(Error.find(std::string("'") + Text + "'"), std::string::npos)
+        << Error;
+  }
+  double X = 0;
+  std::string Error;
+  parseReal("0", RealFloor::Positive, X, Error);
+  EXPECT_EQ(Error, "expected a finite positive number, got '0'");
+}
+
 //===----------------------------------------------------------------------===//
 // ThreadPool
 //===----------------------------------------------------------------------===//

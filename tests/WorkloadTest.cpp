@@ -12,8 +12,13 @@
 #include "workload/FigureOne.h"
 #include "workload/Workload.h"
 #include "workload/WorkloadCommon.h"
+#include "workload/scenario/ScenarioSpec.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 
 using namespace aoci;
 
@@ -193,6 +198,30 @@ TEST(WorkloadShapeTest, ScaleControlsRunLength) {
     return VM.cycles();
   };
   EXPECT_GT(CyclesFor(Big), CyclesFor(Small) * 2);
+}
+
+TEST(WorkloadShapeTest, ScaledCountTruncatesRoundsAndRejectsOverflow) {
+  EXPECT_EQ(scaledCount(2400, 0.05), static_cast<int64_t>(2400 * 0.05));
+  EXPECT_EQ(scaledCount(10, 0.25), 2);
+  EXPECT_EQ(scaledCount(10, 0.25, CountRounding::Nearest), 3);
+  EXPECT_EQ(scaledCount(0x1p62, 1.0), int64_t{1} << 62);
+  EXPECT_THROW(scaledCount(0x1p63, 1.0), std::invalid_argument);
+  EXPECT_THROW(scaledCount(2400, 1e17), std::invalid_argument);
+  EXPECT_THROW(scaledCount(2400, std::nan("")), std::invalid_argument);
+}
+
+TEST(WorkloadShapeTest, OverflowingScaleIsRejectedForEveryWorkload) {
+  std::vector<std::string> Names = workloadNames();
+  Names.insert(Names.end(), scenarioNames().begin(), scenarioNames().end());
+  for (const std::string &Name : Names) {
+    for (double Scale : {1e300, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+      WorkloadParams P = tinyParams();
+      P.Scale = Scale;
+      EXPECT_THROW(makeWorkload(Name, P), std::invalid_argument)
+          << Name << " at scale " << Scale;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

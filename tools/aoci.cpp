@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +35,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 using namespace aoci;
 
@@ -158,30 +158,18 @@ bool parseCount(const char *Flag, const std::string &Value, T &Out,
   return true;
 }
 
-/// The lower bound a real-valued flag enforces.
-enum class Floor { None, NonNegative, Positive };
+/// Reports a library parser's \p Error under \p Context unless \p Ok.
+bool check(bool Ok, const std::string &Context, const std::string &Error) {
+  if (!Ok)
+    std::fprintf(stderr, "%s: %s\n", Context.c_str(), Error.c_str());
+  return Ok;
+}
 
-/// Whole-token finite real number respecting \p Bound.
-bool parseReal(const char *Flag, const std::string &Value, Floor Bound,
-               double &Out) {
-  char *End = nullptr;
-  const double X = std::strtod(Value.c_str(), &End);
-  bool Valid = !Value.empty() &&
-               !std::isspace(static_cast<unsigned char>(Value[0])) &&
-               End == Value.c_str() + Value.size() && std::isfinite(X);
-  if (Bound == Floor::NonNegative)
-    Valid &= X >= 0;
-  if (Bound == Floor::Positive)
-    Valid &= X > 0;
-  if (!Valid) {
-    static const char *const Kind[] = {"a finite", "a finite non-negative",
-                                       "a finite positive"};
-    std::fprintf(stderr, "%s expects %s number, got '%s'\n", Flag,
-                 Kind[static_cast<int>(Bound)], Value.c_str());
-    return false;
-  }
-  Out = X;
-  return true;
+/// A real-valued flag: parseReal with its diagnostic reported.
+bool parseRealFlag(const char *Flag, const std::string &Value,
+                   RealFloor Bound, double &Out) {
+  std::string Error;
+  return check(parseReal(Value, Bound, Out, Error), Flag, Error);
 }
 
 bool parseOnOff(const char *Flag, const std::string &Value, bool &On) {
@@ -207,13 +195,6 @@ bool parseFuse(const char *Flag, const std::string &Value, FuseConfig &Fuse) {
     return reject(Flag, Expected.c_str(), Value);
   }
   return true;
-}
-
-/// Reports a library parser's \p Error under \p Context unless \p Ok.
-bool check(bool Ok, const std::string &Context, const std::string &Error) {
-  if (!Ok)
-    std::fprintf(stderr, "%s: %s\n", Context.c_str(), Error.c_str());
-  return Ok;
 }
 
 bool parsePolicy(const char *Flag, const std::string &Value,
@@ -338,7 +319,7 @@ const Flag Flags[] = {
      }},
     {"--scale", "X", CmdAll,
      [](auto &O, auto F, auto &V) {
-       return parseReal(F, V, Floor::Positive, O.Params->Scale);
+       return parseRealFlag(F, V, RealFloor::Positive, O.Params->Scale);
      }},
     {"--seed", "N", CmdPolicy,
      [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Params->Seed); }},
@@ -368,7 +349,7 @@ const Flag Flags[] = {
      }},
     {"--budget-inflation", "F", CmdAos,
      [](auto &O, auto F, auto &V) {
-       return parseReal(F, V, Floor::Positive, O.Aos->Budget.InflationFactor);
+       return parseRealFlag(F, V, RealFloor::Positive, O.Aos->Budget.InflationFactor);
      }},
     {"--budget-slack", "U", CmdAos,
      [](auto &O, auto F, auto &V) {
@@ -380,8 +361,8 @@ const Flag Flags[] = {
      }},
     {"--budget-min-weight", "W", CmdAos,
      [](auto &O, auto F, auto &V) {
-       return parseReal(F, V, Floor::NonNegative,
-                        O.Aos->Budget.MinCandidateWeight);
+       return parseRealFlag(F, V, RealFloor::NonNegative,
+                            O.Aos->Budget.MinCandidateWeight);
      }},
     {"--plans", nullptr, CmdRun,
      [](auto &O, auto, auto &) { return O.Plans = true; }},
@@ -439,7 +420,7 @@ const Flag Flags[] = {
      }},
     {"--threshold", "PCT", CmdFuzz,
      [](auto &O, auto F, auto &V) {
-       return parseReal(F, V, Floor::None, O.Fuzz.ThresholdPct);
+       return parseRealFlag(F, V, RealFloor::None, O.Fuzz.ThresholdPct);
      }},
     {"--workload-seed", "N", CmdFuzz,
      [](auto &O, auto F, auto &V) { return parseCount(F, V, O.Params->Seed); }},
@@ -504,14 +485,29 @@ int cmdList(Options &) {
   return 0;
 }
 
-int cmdTable1(Options &) {
+/// Runs every Table 1 workload once under \p Config.
+std::vector<RunResult> runSuite(RunConfig Config) {
   std::vector<RunResult> Runs;
   for (const std::string &Name : workloadNames()) {
-    RunConfig Config;
     Config.WorkloadName = Name;
     Runs.push_back(runExperiment(Config));
   }
-  std::printf("%s", reportTable1(Runs).c_str());
+  return Runs;
+}
+
+int cmdTable1(Options &) {
+  std::printf("%s", reportTable1(runSuite(RunConfig())).c_str());
+  return 0;
+}
+
+int cmdSection4(Options &) {
+  // A deep fixed policy records full chains; the chain statistics
+  // themselves are policy-independent instrumentation.
+  RunConfig Config;
+  Config.Policy = PolicyKind::Fixed;
+  Config.MaxDepth = 5;
+  Config.CollectTraceStats = true;
+  std::printf("%s", reportSection4(runSuite(Config)).c_str());
   return 0;
 }
 
@@ -877,6 +873,7 @@ struct Command {
 const Command Commands[] = {
     {"list", 0, "", 0, 0, cmdList},
     {"table1", 0, "", 0, 0, cmdTable1},
+    {"section4", 0, "", 0, 0, cmdSection4},
     {"run", CmdRun, " <workload>", 1, 1, cmdRun},
     {"grid", CmdGrid, "", 0, 0, cmdGrid},
     {"trace", CmdTrace, " <workload>", 1, 1, cmdTrace},
@@ -893,6 +890,8 @@ const char *const HelpText =
     "workloads: Table 1 names plus the built-in adversarial scenarios\n"
     "  (scn-megamorphic-storm, scn-phase-flip, scn-alloc-burst,\n"
     "  scn-cache-churn)\n"
+    "section4: the Section 4 trace statistics, from every Table 1\n"
+    "  workload under the fixed policy at depth 5\n"
     "fuzz: searches seeded scenario mutations for runs where policy A\n"
     "  beats policy B by more than the threshold; shrinks each finding\n"
     "  and writes replayable .scn reproducers (--out). With --known DIR\n"
@@ -1001,9 +1000,14 @@ bool parseArgs(int Argc, char **Argv, const Command &Cmd, Options &O) {
     else if (!F->Apply(O, F->Name, Value))
       return false;
   }
-  if (O.Operands.size() < Cmd.MinOperands ||
-      O.Operands.size() > Cmd.MaxOperands) {
-    std::fprintf(stderr, "%s: wrong number of operands\n", Cmd.Name);
+  if (O.Operands.size() > Cmd.MaxOperands) {
+    std::fprintf(stderr, "%s: unexpected operand '%s'\n", Cmd.Name,
+                 O.Operands[Cmd.MaxOperands].c_str());
+    usage();
+    return false;
+  }
+  if (O.Operands.size() < Cmd.MinOperands) {
+    std::fprintf(stderr, "%s: missing operand\n", Cmd.Name);
     usage();
     return false;
   }
@@ -1023,7 +1027,16 @@ int main(int Argc, char **Argv) {
     if (C.Name != std::string(Argv[1]))
       continue;
     Options O(C.Bit);
-    return parseArgs(Argc, Argv, C, O) ? C.Run(O) : 1;
+    if (!parseArgs(Argc, Argv, C, O))
+      return 1;
+    try {
+      return C.Run(O);
+    } catch (const std::invalid_argument &E) {
+      // A configuration the library refuses, such as a --scale that
+      // overflows a workload's loop counts.
+      std::fprintf(stderr, "%s: %s\n", C.Name, E.what());
+      return 1;
+    }
   }
   return usage();
 }
