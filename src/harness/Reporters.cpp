@@ -231,7 +231,8 @@ std::string aoci::reportSection4(const std::vector<RunResult> &Runs) {
   // of each fraction over the benchmarks.
   if (!Runs.empty()) {
     std::vector<std::string> Suite = {
-        "suite", formatString("%llu", static_cast<unsigned long long>(Samples))};
+        "suite",
+        formatString("%llu", static_cast<unsigned long long>(Samples))};
     for (double Sum : Sums)
       Suite.push_back(formatString(
           "%.0f%%", Sum / static_cast<double>(Runs.size()) * 100));

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// Utilities shared by the workload generators: counted-loop emission,
-/// checked scaling of loop counts, receiver-rotation helpers, and the procedurally generated cold library
-/// that pads class/method/bytecode counts toward Table 1 without
-/// affecting the hot kernel (every cold method is invoked exactly once
-/// from an init phase, so it is baseline-compiled and counted but never
-/// becomes hot).
+/// checked scaling of loop counts, receiver-rotation helpers, and the
+/// procedurally generated cold library that pads class/method/bytecode
+/// counts toward Table 1 without affecting the hot kernel (every cold
+/// method is invoked exactly once from an init phase, so it is
+/// baseline-compiled and counted but never becomes hot).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -349,7 +349,8 @@ const Flag Flags[] = {
      }},
     {"--budget-inflation", "F", CmdAos,
      [](auto &O, auto F, auto &V) {
-       return parseRealFlag(F, V, RealFloor::Positive, O.Aos->Budget.InflationFactor);
+       return parseRealFlag(F, V, RealFloor::Positive,
+                            O.Aos->Budget.InflationFactor);
      }},
     {"--budget-slack", "U", CmdAos,
      [](auto &O, auto F, auto &V) {
