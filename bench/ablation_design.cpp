@@ -23,12 +23,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "support/StringUtils.h"
 #include "trace/TraceSink.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace aoci;
@@ -126,14 +126,10 @@ void ablateOsr(double Scale) {
 
 } // namespace
 
-int main() {
-  double Scale = 1.0;
-  std::string Error;
-  if (const char *S = std::getenv("AOCI_SCALE");
-      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
-    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+int main() try {
+  double Scale;
+  if (!readBenchScale(Scale))
     return 2;
-  }
 
   for (const char *W : Benchmarks) {
     std::printf("== %s (fixed, max depth 3; deltas are speedup vs the "
@@ -172,4 +168,6 @@ int main() {
 
   ablateOsr(Scale);
   return 0;
+} catch (const std::invalid_argument &E) {
+  return benchScaleRefused(E);
 }

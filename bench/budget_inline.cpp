@@ -25,12 +25,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/SteadyState.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -83,7 +83,7 @@ const Entry Adversaries[] = {{"scn-phase-flip", false},
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   // Line-buffer stdout so CI's tee shows per-workload progress live.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   std::string JsonPath;
@@ -96,13 +96,9 @@ int main(int argc, char **argv) {
     }
   }
 
-  double Scale = 1.0;
-  std::string Error;
-  if (const char *S = std::getenv("AOCI_SCALE");
-      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
-    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+  double Scale;
+  if (!readBenchScale(Scale))
     return 2;
-  }
 
   std::vector<Entry> Benchmarks;
   for (const std::string &W : workloadNames())
@@ -188,4 +184,6 @@ int main(int argc, char **argv) {
     std::fclose(F);
   }
   return Pass ? 0 : 1;
+} catch (const std::invalid_argument &E) {
+  return benchScaleRefused(E);
 }

@@ -146,6 +146,47 @@ void BM_InterpCallLoopFused(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpCallLoopFused);
 
+/// Like callProgram, but the leaf keeps four locals beyond its argument,
+/// so every call also pays frame entry's zero-fill of those locals.
+Program callWithLocalsProgram(int64_t Iterations) {
+  ProgramBuilder B;
+  ClassId C = B.addClass("Main");
+  MethodId Leaf = B.declareMethod(C, "leaf", MethodKind::Static, 1, true);
+  {
+    CodeEmitter E = B.code(Leaf);
+    E.load(0).iconst(1).iadd().store(1);
+    E.load(1).iconst(3).ixor().store(2);
+    E.load(2).load(1).iadd().store(3);
+    E.load(3).iconst(1).ishr().store(4);
+    E.load(4).vreturn();
+    E.finish();
+  }
+  MethodId Main = B.declareMethod(C, "main", MethodKind::Static, 0, true);
+  {
+    CodeEmitter E = B.code(Main);
+    E.iconst(0).store(1);
+    emitCountedLoop(E, 0, Iterations, [&](CodeEmitter &L) {
+      L.load(1).invokeStatic(Leaf).store(1);
+    });
+    E.load(1).vreturn();
+    E.finish();
+  }
+  B.setEntry(Main);
+  return B.build();
+}
+
+void BM_InterpCallWithLocalsLoop(benchmark::State &State) {
+  Program P = callWithLocalsProgram(10000);
+  runInterp(State, P, CostModel(), 10000);
+}
+BENCHMARK(BM_InterpCallWithLocalsLoop);
+
+void BM_InterpCallWithLocalsLoopFused(benchmark::State &State) {
+  Program P = callWithLocalsProgram(10000);
+  runInterp(State, P, fusedModel(), 10000);
+}
+BENCHMARK(BM_InterpCallWithLocalsLoopFused);
+
 void runInlinedCallLoop(benchmark::State &State, const CostModel &Model) {
   Program P = callProgram(10000);
   MethodId Main = P.entryMethod();

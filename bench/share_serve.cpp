@@ -39,13 +39,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/Serve.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -82,7 +82,7 @@ ServeConfig serveConfig(const std::string &Workload, unsigned Count,
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   // Line-buffer stdout so CI's tee shows per-workload progress live.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   std::string JsonPath;
@@ -95,13 +95,9 @@ int main(int argc, char **argv) {
     }
   }
 
-  double Scale = 1.0;
-  std::string Error;
-  if (const char *S = std::getenv("AOCI_SCALE");
-      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
-    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+  double Scale;
+  if (!readBenchScale(Scale))
     return 2;
-  }
 
   bool Pass = true;
   std::string Json;
@@ -216,4 +212,6 @@ int main(int argc, char **argv) {
     std::fclose(F);
   }
   return Pass ? 0 : 1;
+} catch (const std::invalid_argument &E) {
+  return benchScaleRefused(E);
 }

@@ -42,6 +42,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/SteadyState.h"
 #include "profile/ProfileIo.h"
@@ -49,7 +50,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -124,7 +124,7 @@ std::shared_ptr<const ProfileData> trainProfile(RunConfig Config) {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   // Line-buffer stdout so CI's tee shows per-workload progress live.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   std::string JsonPath;
@@ -137,13 +137,9 @@ int main(int argc, char **argv) {
     }
   }
 
-  double Scale = 1.0;
-  std::string Error;
-  if (const char *S = std::getenv("AOCI_SCALE");
-      S && !parseReal(S, RealFloor::Positive, Scale, Error)) {
-    std::fprintf(stderr, "AOCI_SCALE: %s\n", Error.c_str());
+  double Scale;
+  if (!readBenchScale(Scale))
     return 2;
-  }
 
   const std::vector<std::string> &Workloads = workloadNames();
   unsigned WarmFaster = 0;
@@ -310,4 +306,6 @@ int main(int argc, char **argv) {
     std::fclose(F);
   }
   return Pass ? 0 : 1;
+} catch (const std::invalid_argument &E) {
+  return benchScaleRefused(E);
 }

@@ -62,6 +62,17 @@ inline bool enabled() { return detail::enabledFlag(); }
 /// Release-built test without touching the environment).
 inline void setEnabled(bool On) { detail::enabledFlag() = On; }
 
+/// Turns auditing on for one scope and restores the prior setting on
+/// exit, so an audited test does not leak the flag into the rest of its
+/// suite.
+struct Scope {
+  bool Prev;
+  Scope() : Prev(enabled()) { setEnabled(true); }
+  ~Scope() { setEnabled(Prev); }
+  Scope(const Scope &) = delete;
+  Scope &operator=(const Scope &) = delete;
+};
+
 /// Checks one invariant. No-op unless enabled(); throws AuditError
 /// "audit(<where>): <what>" otherwise when \p Cond is false.
 inline void check(bool Cond, const char *Where, const std::string &What) {

@@ -61,8 +61,7 @@ MethodHotData &VirtualMachine::hotData(MethodId M) {
 
 const uint64_t *VirtualMachine::costTable(MethodHotData &H, OptLevel L,
                                           bool Inlined) {
-  std::vector<uint64_t> &Table =
-      H.Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
+  std::vector<uint64_t> &Table = H.costFor(L, Inlined);
   if (Table.empty()) {
     Table.reserve(H.BodySize);
     const uint64_t PerUnit = Model.cyclesPerUnit(L);
@@ -104,31 +103,24 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
   if (!Inlined)
     Variant->LastUsedCycle = Clock;
 
-  Frame F;
-  F.Method = Callee;
-  F.Variant = Variant;
-  F.PlanNode = Plan;
-  F.Body = Hot.Body;
-  F.Cost = costTable(Hot, Variant->Level, Inlined);
-  F.Hot = &Hot;
   // The args the caller pushed become the callee's first locals in place.
-  F.LocalsBase = T.SlabTop - Hot.NumArgSlots;
-  F.StackBase = F.LocalsBase + Hot.NumLocals;
-  F.Inlined = Inlined;
-  // Fused handlers apply only to physical frames: inlined bodies charge
-  // scope-bonus cost tables the precomputed batch charge would not match.
-  F.Fuse = (!Inlined && Variant->Fused) ? Variant->Fused.get() : nullptr;
-
-  const size_t Need = static_cast<size_t>(F.StackBase) + Hot.MaxStack;
+  const uint32_t LocalsBase = T.SlabTop - Hot.NumArgSlots;
+  const uint32_t StackBase = LocalsBase + Hot.NumLocals;
+  const size_t Need = static_cast<size_t>(StackBase) + Hot.MaxStack;
   if (T.Slab.size() < Need)
     T.Slab.resize(std::max(Need, T.Slab.size() * 2));
 
-  Value *Locals = T.Slab.data() + F.LocalsBase;
+  Value *Locals = T.Slab.data() + LocalsBase;
   for (unsigned S = Hot.NumArgSlots; S < Hot.NumLocals; ++S)
     Locals[S] = Value();
+  T.SlabTop = StackBase;
 
-  T.SlabTop = F.StackBase;
-  T.Frames.push_back(F);
+  // Fused handlers apply only to physical frames: inlined bodies charge
+  // scope-bonus cost tables the precomputed batch charge would not match.
+  T.Frames.emplace_back(Callee, Variant, Plan, Hot.Body,
+                        costTable(Hot, Variant->Level, Inlined), &Hot,
+                        LocalsBase, StackBase, Inlined,
+                        Inlined ? nullptr : Variant->Fused.get());
 }
 
 unsigned VirtualMachine::addThread(MethodId Entry) {
@@ -221,9 +213,7 @@ void VirtualMachine::step(ThreadState &T, uint64_t MaxInstructions) {
   interpret(T, UINT64_MAX, MaxInstructions);
 }
 
-void VirtualMachine::maybeDeliverSample(ThreadState &T, bool AtPrologue) {
-  if (Clock < NextSampleAt)
-    return;
+void VirtualMachine::deliverSample(ThreadState &T, bool AtPrologue) {
   while (NextSampleAt <= Clock)
     NextSampleAt += jitteredPeriod();
   ++Counters.SamplesTaken;
@@ -376,22 +366,26 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
 }
 
 void VirtualMachine::handleReturn(ThreadState &T, bool HasValue) {
-  const Frame Done = T.Frames.back();
-  T.Frames.pop_back();
-
-  Value Ret;
-  if (HasValue) {
-    assert(T.SlabTop > Done.StackBase && "value return with empty stack");
-    Ret = T.Slab[T.SlabTop - 1];
-  }
+  // Read the returning frame in place; only the OSR exit hook, which must
+  // see the frame after it left the stack, gets a copy.
+  const Frame &Done = T.Frames.back();
+  assert((!HasValue || T.SlabTop > Done.StackBase) &&
+         "value return with empty stack");
+  const Value Ret = HasValue ? T.Slab[T.SlabTop - 1] : Value();
+  const uint32_t LocalsBase = Done.LocalsBase;
   charge(Done.Inlined ? 1 : Model.ReturnOverhead);
-  if (Osr != nullptr && Done.OsrEntered)
-    Osr->onOsrFrameReturn(*this, T, Done);
+  if (Osr != nullptr && Done.OsrEntered) {
+    const Frame Exited = Done;
+    T.Frames.pop_back();
+    Osr->onOsrFrameReturn(*this, T, Exited);
+  } else {
+    T.Frames.pop_back();
+  }
 
   // Truncating to the callee's locals base frees its locals and stack and
   // re-exposes the caller's stack with the argument slots already consumed
   // (they were the callee's first locals).
-  T.SlabTop = Done.LocalsBase;
+  T.SlabTop = LocalsBase;
 
   if (T.Frames.empty()) {
     T.Finished = true;
@@ -458,7 +452,10 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
       --Top;
       ++PC;
     };
-    auto branchTo = [&](int64_t Target) {
+    // Forced inline: GCC otherwise outlines this lambda, and every taken
+    // branch of a straight-line loop then pays a call (about 4% of the
+    // loop's host time in micro_interp).
+    auto branchTo = [&](int64_t Target) __attribute__((always_inline)) {
       const bool Backward = Target <= PC;
       PC = static_cast<uint32_t>(Target);
       // Taken backward branches are loop-backedge yieldpoints. Listeners
@@ -1050,22 +1047,36 @@ void VirtualMachine::auditState(const char *Where) const {
   if (!audit::enabled())
     return;
   for (const auto &TPtr : Threads) {
-    for (const Frame &F : TPtr->Frames) {
+    const std::vector<Frame> &Frames = TPtr->Frames;
+    for (size_t I = 0; I != Frames.size(); ++I) {
+      const Frame &F = Frames[I];
+      const std::string At = std::string(Where) + ": thread " +
+                             std::to_string(TPtr->Id) + " frame " +
+                             std::to_string(I) + " of method " +
+                             std::to_string(F.Method);
       audit::check(F.Variant != nullptr && !F.Variant->Evicted, "vm",
-                   std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
-                       " has a frame on evicted code of method " +
+                   At + " runs evicted code of method " +
                        std::to_string(F.Variant ? F.Variant->M : F.Method));
-      audit::check(F.Hot != nullptr && F.Body == F.Hot->Body, "vm",
-                   std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
-                       " frame body pointer diverged from hot data of method " +
-                       std::to_string(F.Method));
+      audit::check(F.Hot == &HotData[F.Method] && F.Body == F.Hot->Body, "vm",
+                   At + " has a body pointer that diverged from its hot data");
+      const std::vector<uint64_t> &Cost =
+          F.Hot->costFor(F.Variant->Level, F.Inlined);
+      audit::check(!Cost.empty() && F.Cost == Cost.data(), "vm",
+                   At + " charges a cost table other than its method's for "
+                        "its variant level and inlined flag");
+      // Each frame's locals-and-stack window sits below the next frame's
+      // (whose locals start with the arguments on this frame's stack).
+      const uint32_t Limit =
+          I + 1 == Frames.size() ? TPtr->SlabTop : Frames[I + 1].LocalsBase;
+      audit::check(F.LocalsBase <= F.StackBase && F.StackBase <= Limit, "vm",
+                   At + " has slab window [" + std::to_string(F.LocalsBase) +
+                       ", " + std::to_string(F.StackBase) +
+                       ") above the next frame's base or the slab top " +
+                       std::to_string(Limit));
       audit::check(F.Fuse == nullptr ||
                        (!F.Inlined && F.Variant != nullptr &&
                         F.Fuse == F.Variant->Fused.get()),
-                   "vm",
-                   std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
-                       " frame holds a stale fused-handler map of method " +
-                       std::to_string(F.Method));
+                   "vm", At + " holds a stale fused-handler map");
     }
   }
   for (size_t M = 0; M != HotData.size(); ++M) {

@@ -62,6 +62,13 @@ struct MethodHotData {
   /// entry is bit-identical to the machineSize * cyclesPerUnit (* scope
   /// bonus) product the interpreter used to recompute per instruction.
   std::vector<uint64_t> Cost[NumOptLevels * 2];
+  /// The (possibly not yet built) table for one (OptLevel, Inlined) pair.
+  std::vector<uint64_t> &costFor(OptLevel L, bool Inlined) {
+    return Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
+  }
+  const std::vector<uint64_t> &costFor(OptLevel L, bool Inlined) const {
+    return Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
+  }
   /// Monomorphic inline cache, indexed by invoke-site PC: the last
   /// receiver class seen at the site and the resolveVirtual() target it
   /// memoizes. Resolution is a pure function of (receiver class, override
@@ -86,6 +93,17 @@ struct MethodHotData {
 /// to the thread's SlabTop while this frame is on top, so frame push/pop
 /// is a pointer bump instead of two heap allocations.
 struct Frame {
+  /// Builds a freshly entered frame (PC 0, not OSR-entered). pushFrame
+  /// constructs every frame in place through this, so each field is
+  /// written exactly once per call.
+  Frame(MethodId Method, const CodeVariant *Variant,
+        const InlineNode *PlanNode, const Instruction *Body,
+        const uint64_t *Cost, MethodHotData *Hot, uint32_t LocalsBase,
+        uint32_t StackBase, bool Inlined, const FusedProgram *Fuse)
+      : Method(Method), Variant(Variant), PlanNode(PlanNode), Body(Body),
+        Cost(Cost), Hot(Hot), LocalsBase(LocalsBase), StackBase(StackBase),
+        Inlined(Inlined), Fuse(Fuse) {}
+
   /// The source method this frame executes.
   MethodId Method = InvalidMethodId;
   /// Program counter within the source method's body. While a callee is
@@ -263,8 +281,11 @@ public:
   }
 
   /// Cross-checks the VM-level cache/dispatch invariants (see
-  /// support/Audit.h): no live frame executes evicted code, every frame's
-  /// cached body pointer matches its method's hot data, and every
+  /// support/Audit.h): no live frame executes evicted code; every frame's
+  /// cached body pointer matches its method's hot data and its cost table
+  /// is the method's for (variant level, inlined); each frame's slab
+  /// window [LocalsBase, StackBase) lies at or below the next frame's
+  /// LocalsBase (the top frame's at or below SlabTop); and every
   /// inline-cache code memo points at the target's current variant.
   /// Throws audit::AuditError on violation; no-op unless auditing is
   /// enabled. The code manager calls this after installs and evictions
@@ -317,7 +338,14 @@ private:
   void charge(uint64_t Cycles) {
     Clock += Cycles;
   }
-  void maybeDeliverSample(ThreadState &T, bool AtPrologue);
+  /// Prologue and backedge yieldpoint: one inline clock compare, with the
+  /// rare delivery itself kept out of line so it does not bloat the
+  /// interpreter loop.
+  void maybeDeliverSample(ThreadState &T, bool AtPrologue) {
+    if (Clock >= NextSampleAt)
+      deliverSample(T, AtPrologue);
+  }
+  [[gnu::noinline]] void deliverSample(ThreadState &T, bool AtPrologue);
   /// Backedge OSR hook: when a driver is attached and the top frame's
   /// variant has been superseded, hands the thread to the driver.
   /// Returns true when the driver remapped the frame stack. Out of line

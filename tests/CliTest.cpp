@@ -12,6 +12,8 @@
 //    diff.
 //  - A negative table: every malformed invocation must exit nonzero
 //    with a diagnostic on stderr that names the flag and the value.
+//    The measurement drivers in bench/ get the same treatment for an
+//    AOCI_SCALE the workload generators refuse.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +66,11 @@ struct Outcome {
   std::string Err;
 };
 
-/// Runs `aoci Args` inside \p Dir, capturing stdout and stderr.
-Outcome runAoci(const std::string &Args, const fs::path &Dir) {
-  const std::string Cmd = "cd '" + Dir.string() + "' && '" AOCI_BIN "' " +
-                          Args + " 2> stderr.txt";
+/// Runs shell command \p Command inside \p Dir, capturing stdout and
+/// stderr.
+Outcome runCommand(const std::string &Command, const fs::path &Dir) {
+  const std::string Cmd =
+      "cd '" + Dir.string() + "' && " + Command + " 2> stderr.txt";
   Outcome O;
   FILE *Pipe = ::popen(Cmd.c_str(), "r");
   if (!Pipe)
@@ -80,6 +83,11 @@ Outcome runAoci(const std::string &Args, const fs::path &Dir) {
   O.Status = WIFEXITED(Raw) ? WEXITSTATUS(Raw) : 128 + WTERMSIG(Raw);
   O.Err = readFile(Dir / "stderr.txt");
   return O;
+}
+
+/// Runs `aoci Args` inside \p Dir.
+Outcome runAoci(const std::string &Args, const fs::path &Dir) {
+  return runCommand("'" AOCI_BIN "' " + Args, Dir);
 }
 
 /// Byte count and FNV-1a 64 hash, for outputs too large to check in.
@@ -287,3 +295,33 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RejectCase> &Info) {
       return std::string(Info.param.Id);
     });
+
+namespace {
+
+/// The measurement drivers read their run length from AOCI_SCALE.
+const char *const BenchDrivers[] = {"ablation_design", "budget_inline",
+                                    "share_serve", "warm_start"};
+
+class BenchScaleTest : public ::testing::TestWithParam<const char *> {};
+
+} // namespace
+
+// A scale that parses but overflows a workload's loop counts is refused
+// by the workload generator; the driver must report it like a scale that
+// does not parse (exit 2, "AOCI_SCALE: ..."), not die in std::terminate.
+TEST_P(BenchScaleTest, OverflowingScaleExitsTwoWithDiagnostic) {
+  const std::string Driver = GetParam();
+  ScratchDir Dir("bench_" + Driver);
+  const Outcome O = runCommand(
+      "AOCI_SCALE=1e300 '" AOCI_BENCH_DIR "/" + Driver + "'", Dir.Path);
+  EXPECT_EQ(O.Status, 2) << Driver << ":\n" << O.Err;
+  EXPECT_EQ(O.Err.rfind("AOCI_SCALE: scale '1e+300'", 0), 0u)
+      << Driver << ": diagnostic does not start with the scale:\n"
+      << O.Err;
+}
+
+INSTANTIATE_TEST_SUITE_P(Bench, BenchScaleTest,
+                         ::testing::ValuesIn(BenchDrivers),
+                         [](const ::testing::TestParamInfo<const char *> &I) {
+                           return std::string(I.param);
+                         });

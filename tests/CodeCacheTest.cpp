@@ -42,15 +42,6 @@ using namespace aoci;
 
 namespace {
 
-/// Forces invariant auditing on for one scope (Release builds default it
-/// off) and restores the prior setting on exit, so an audited test does
-/// not leak the flag into the rest of the suite.
-struct AuditScope {
-  bool Prev;
-  AuditScope() : Prev(audit::enabled()) { audit::setEnabled(true); }
-  ~AuditScope() { audit::setEnabled(Prev); }
-};
-
 //===----------------------------------------------------------------------===//
 // Hand-built programs (the deep call chain is in DeepProgram.h)
 //===----------------------------------------------------------------------===//
@@ -160,7 +151,7 @@ TEST(CodeCacheExperimentTest, CapacityBoundsAndRecompilesOnMpegaudio) {
 //===----------------------------------------------------------------------===//
 
 TEST(CodeCacheEvictionTest, RecompileOnReentryAfterEviction) {
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t Calls = 6, Iters = 40;
   DeepProgram D = deepProgram(Calls, Iters);
 
@@ -224,7 +215,7 @@ TEST(CodeCacheEvictionTest, RecompileOnReentryAfterEviction) {
 //===----------------------------------------------------------------------===//
 
 TEST(CodeCacheEvictionTest, EvictingLiveInlineGroupDeoptsAndPreservesState) {
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t Calls = 3, Iters = 300;
   DeepProgram D = deepProgram(Calls, Iters);
 
@@ -311,7 +302,7 @@ TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
   // away from entering tombstoned code — the classic stale-IC JIT bug.
   // With auditing on, a surviving memo throws AuditError inside the
   // eviction itself; the behavioral checks below would then never run.
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t N = 200;
   VirtualLoopProgram VP(N);
 
@@ -447,7 +438,7 @@ TEST(CodeCacheGoldenTest, EvictTraceJsonMatchesGolden) {
 //===----------------------------------------------------------------------===//
 
 TEST(CodeCacheStressTest, EvictionChurnKeepsStateConsistent) {
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t Calls = 40, Iters = 120;
   DeepProgram D = deepProgram(Calls, Iters);
 

@@ -47,14 +47,6 @@ using namespace aoci;
 
 namespace {
 
-/// Forces invariant auditing on for one scope (Release builds default it
-/// off) and restores the prior setting on exit.
-struct AuditScope {
-  bool Prev;
-  AuditScope() : Prev(audit::enabled()) { audit::setEnabled(true); }
-  ~AuditScope() { audit::setEnabled(Prev); }
-};
-
 /// A cost model with fusion enabled down to baseline code, so hand-built
 /// programs fuse on their very first (lazy baseline) compile.
 CostModel fusedEverywhere() {
@@ -264,7 +256,7 @@ TEST(FuseBuilderTest, LoweringElidesPureShuffles) {
 //===----------------------------------------------------------------------===//
 
 TEST(FuseLockstepTest, TortureLoopBitIdenticalAtEveryGranularity) {
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t Iters = 40;
   TortureProgram TP(Iters);
 
@@ -297,7 +289,7 @@ TEST(FuseLockstepTest, TortureLoopBitIdenticalAtEveryGranularity) {
 TEST(FuseLockstepTest, CycleLimitSuspensionBitIdentical) {
   // Exercises the StopClock fallback: resuming under a cycle limit that
   // lands inside a fused run must suspend at exact per-PC granularity.
-  AuditScope Audited;
+  audit::Scope Audited;
   TortureProgram TP(25);
 
   VirtualMachine Plain(TP.P, CostModel{});
@@ -321,7 +313,7 @@ TEST(FuseLockstepTest, OptimizedAndInlinedVariantsStayLocked) {
   // Fusion must track recompilation: both VMs install the same optimized
   // variants mid-run (a planless Opt2 inner, then a fully inlined Opt1
   // outer) and must stay bit-identical through the transitions.
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t Calls = 6, Iters = 30;
   DeepProgram DA = deepProgram(Calls, Iters);
   DeepProgram DB = deepProgram(Calls, Iters);
@@ -371,7 +363,7 @@ TEST(FuseLockstepTest, OptimizedAndInlinedVariantsStayLocked) {
 //===----------------------------------------------------------------------===//
 
 TEST(FuseDeoptTest, EvictionDeoptInsideFusedRunRematerializesExactly) {
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t Calls = 3, Iters = 300;
   DeepProgram D = deepProgram(Calls, Iters);
 
@@ -451,7 +443,7 @@ TEST(FuseDeoptTest, EvictionDeoptInsideFusedRunRematerializesExactly) {
 }
 
 TEST(FuseEvictionTest, HandlersFreedOnEvictAndRederivedOnReentry) {
-  AuditScope Audited;
+  audit::Scope Audited;
   const int64_t Calls = 6, Iters = 40;
   DeepProgram D = deepProgram(Calls, Iters);
 

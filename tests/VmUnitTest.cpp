@@ -5,14 +5,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/ProgramBuilder.h"
 #include "opt/PlanPrinter.h"
+#include "support/Audit.h"
 #include "vm/CodeManager.h"
 #include "vm/Heap.h"
 #include "vm/Overhead.h"
 #include "vm/Value.h"
+#include "vm/VirtualMachine.h"
 #include "workload/FigureOne.h"
+#include "workload/WorkloadCommon.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace aoci;
 
@@ -204,4 +210,235 @@ TEST(PlanPrinterTest, RendersGuardsAndNesting) {
   size_t GetPos = Out.find("guard HashMap.get");
   size_t HashPos = Out.find("MyKey.hashCode");
   EXPECT_LT(GetPos, HashPos);
+}
+
+//===----------------------------------------------------------------------===//
+// Frame entry
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// main() { acc = 0; for (i = 4; i != 0; --i) { r = i % 2 ? new C : new A;
+/// acc += r.f(i); acc += g(i); acc += h(i); } return acc; } under an opt2
+/// plan that guard-inlines C.f at the virtual site (so A receivers take
+/// the fallback call to A.f) and inlines h unguarded; g is called
+/// physically. Every callee keeps four locals beyond its arguments and
+/// leaves them nonzero, so the next call into the same slab window only
+/// sees zeros if frame entry cleared them.
+struct FrameEntryProgram {
+  Program P;
+  MethodId Main, AF, CF, G, H;
+  /// Main's opt2 plan, moved into its code variant at install.
+  InlinePlan Plan;
+  const CodeVariant *MainCode = nullptr;
+  const InlineNode *HBody = nullptr;
+};
+
+void emitLeafBody(CodeEmitter &E, unsigned Arg, int64_t K) {
+  E.load(Arg).iconst(K).iadd().store(Arg + 1);
+  E.load(Arg + 1).iconst(2).imul().store(Arg + 2);
+  E.load(Arg + 2).iconst(1).isub().store(Arg + 3);
+  E.load(Arg + 1).load(Arg + 2).iadd().load(Arg + 3).iadd().store(Arg + 4);
+  E.load(Arg + 4).vreturn();
+  E.finish();
+}
+
+FrameEntryProgram frameEntryProgram() {
+  FrameEntryProgram F;
+  ProgramBuilder B;
+  ClassId A = B.addClass("A");
+  F.AF = B.declareMethod(A, "f", MethodKind::Virtual, 1, true);
+  {
+    CodeEmitter E = B.code(F.AF);
+    emitLeafBody(E, 1, 3);
+  }
+  ClassId C = B.addClass("C", A);
+  F.CF = B.addOverride(C, F.AF);
+  {
+    CodeEmitter E = B.code(F.CF);
+    emitLeafBody(E, 1, 5);
+  }
+  F.G = B.declareMethod(A, "g", MethodKind::Static, 1, true);
+  {
+    CodeEmitter E = B.code(F.G);
+    emitLeafBody(E, 0, 7);
+  }
+  F.H = B.declareMethod(A, "h", MethodKind::Static, 1, true);
+  {
+    CodeEmitter E = B.code(F.H);
+    emitLeafBody(E, 0, 11);
+  }
+  F.Main = B.declareMethod(A, "main", MethodKind::Static, 0, true);
+  BytecodeIndex FSite = 0, HSite = 0;
+  {
+    CodeEmitter E = B.code(F.Main);
+    E.iconst(0).store(0);
+    emitCountedLoop(E, 1, 4, [&](CodeEmitter &L) {
+      auto UseA = L.newLabel();
+      auto Dispatch = L.newLabel();
+      L.load(1).iconst(2).irem().ifZero(UseA);
+      L.newObject(C).jump(Dispatch);
+      L.bind(UseA);
+      L.newObject(A);
+      L.bind(Dispatch);
+      L.load(1);
+      FSite = L.nextIndex();
+      L.invokeVirtual(F.AF).load(0).iadd().store(0);
+      L.load(1).invokeStatic(F.G).load(0).iadd().store(0);
+      L.load(1);
+      HSite = L.nextIndex();
+      L.invokeStatic(F.H).load(0).iadd().store(0);
+    });
+    E.load(0).vreturn();
+    E.finish();
+  }
+  B.setEntry(F.Main);
+  F.P = B.build();
+
+  InlinePlan &Plan = F.Plan;
+  InlineCase FCase;
+  FCase.Callee = F.CF;
+  FCase.Guarded = true;
+  FCase.BodyUnits = F.P.method(F.CF).machineSize();
+  Plan.Root.getOrCreate(FSite).Cases.push_back(std::move(FCase));
+  InlineCase HCase;
+  HCase.Callee = F.H;
+  HCase.BodyUnits = F.P.method(F.H).machineSize();
+  HCase.Body = std::make_unique<InlineNode>();
+  F.HBody = HCase.Body.get();
+  Plan.Root.getOrCreate(HSite).Cases.push_back(std::move(HCase));
+  Plan.recountStatistics();
+  Plan.TotalUnits = F.P.method(F.Main).machineSize() +
+                    F.P.method(F.CF).machineSize() +
+                    F.P.method(F.H).machineSize();
+  return F;
+}
+
+/// Fusion down to baseline code, so physical frames carry a fused-handler
+/// map and the test sees that inlined frames never do.
+CostModel fusedModel() {
+  CostModel Model;
+  Model.Fuse.Enabled = true;
+  Model.Fuse.MinLevel = 0;
+  return Model;
+}
+
+/// Installs \p F's plan and runs main one instruction at a time under the
+/// fused model, calling \p OnEntry(VM, Thread, SlabTopBefore) after each
+/// step that pushed a frame.
+template <typename Fn>
+void stepThroughCalls(FrameEntryProgram &F, Fn OnEntry) {
+  VirtualMachine VM(F.P, fusedModel());
+  auto V = std::make_unique<CodeVariant>();
+  V->M = F.Main;
+  V->Level = OptLevel::Opt2;
+  V->MachineUnits = F.Plan.TotalUnits;
+  V->Plan = std::move(F.Plan);
+  F.MainCode = VM.codeManager().install(std::move(V));
+  ThreadState &T = *VM.threads()[VM.addThread(F.Main)];
+  while (!T.Finished) {
+    const size_t Depth = T.Frames.size();
+    const uint32_t SlabTopBefore = T.SlabTop;
+    VM.step(T, 1);
+    if (T.Frames.size() == Depth + 1)
+      OnEntry(VM, T, SlabTopBefore);
+  }
+}
+
+} // namespace
+
+TEST(FrameEntryTest, EveryFieldIsWrittenFromTheCallSite) {
+  FrameEntryProgram F = frameEntryProgram();
+  audit::Scope Audited;
+  std::map<MethodId, unsigned> Entered;
+  bool CheckedRoot = false;
+  stepThroughCalls(F, [&](VirtualMachine &VM, ThreadState &T,
+                          uint32_t SlabTopBefore) {
+    if (!CheckedRoot) {
+      const Frame &Root = T.Frames.front();
+      EXPECT_EQ(Root.Method, F.Main);
+      EXPECT_EQ(Root.Variant, F.MainCode);
+      EXPECT_EQ(Root.PlanNode, &F.MainCode->Plan.Root);
+      EXPECT_FALSE(Root.Inlined);
+      EXPECT_EQ(Root.LocalsBase, 0u);
+      EXPECT_EQ(Root.StackBase, F.P.method(F.Main).NumLocals);
+      CheckedRoot = true;
+    }
+    const Frame &Fr = T.Frames.back();
+    const Method &M = F.P.method(Fr.Method);
+    SCOPED_TRACE(F.P.qualifiedName(Fr.Method));
+    ASSERT_TRUE(Fr.Method == F.AF || Fr.Method == F.CF || Fr.Method == F.G ||
+                Fr.Method == F.H);
+    // C.f is guard-inlined and h inlined unguarded into main's opt2 code;
+    // A.f (the guard's fallback) and g run physically on baseline code.
+    const bool Inlined = Fr.Method == F.CF || Fr.Method == F.H;
+    const CodeVariant *Code =
+        Inlined ? F.MainCode : VM.codeManager().current(Fr.Method);
+    ASSERT_NE(Code, nullptr);
+    EXPECT_EQ(Fr.PC, 0u);
+    EXPECT_EQ(Fr.Variant, Code);
+    EXPECT_EQ(Fr.PlanNode, Fr.Method == F.H ? F.HBody : nullptr);
+    EXPECT_EQ(Fr.Body, M.Body.data());
+    EXPECT_EQ(Fr.Cost, VM.frameCostTable(Fr.Method, Code->Level, Inlined));
+    ASSERT_NE(Fr.Hot, nullptr);
+    EXPECT_EQ(Fr.Hot->Body, M.Body.data());
+    EXPECT_EQ(Fr.LocalsBase, SlabTopBefore - M.numArgSlots());
+    EXPECT_EQ(Fr.StackBase, Fr.LocalsBase + M.NumLocals);
+    EXPECT_EQ(T.SlabTop, Fr.StackBase);
+    EXPECT_EQ(Fr.Inlined, Inlined);
+    if (Inlined) {
+      EXPECT_EQ(Fr.Fuse, nullptr);
+    } else {
+      EXPECT_NE(Fr.Fuse, nullptr);
+      EXPECT_EQ(Fr.Fuse, Code->Fused.get());
+    }
+    EXPECT_FALSE(Fr.OsrEntered);
+    EXPECT_EQ(Fr.OsrEnterCycle, 0u);
+    EXPECT_EQ(Fr.OsrFromLevel, OptLevel::Baseline);
+    // Arguments arrive in place; every other local starts at zero.
+    ASSERT_GE(M.NumLocals, M.numArgSlots() + 4);
+    for (unsigned S = M.numArgSlots(); S != M.NumLocals; ++S)
+      EXPECT_TRUE(T.Slab[Fr.LocalsBase + S].equals(Value::makeInt(0)))
+          << "local " << S;
+    EXPECT_NO_THROW(VM.auditState("frame-entry"));
+    ++Entered[Fr.Method];
+  });
+  EXPECT_TRUE(CheckedRoot);
+  EXPECT_EQ(Entered[F.CF], 2u) << "odd iterations pass the guard";
+  EXPECT_EQ(Entered[F.AF], 2u) << "even iterations take the fallback";
+  EXPECT_EQ(Entered[F.G], 4u);
+  EXPECT_EQ(Entered[F.H], 4u);
+}
+
+TEST(FrameEntryTest, AuditCatchesAWrongCostTableOrSlabWindow) {
+  FrameEntryProgram F = frameEntryProgram();
+  audit::Scope Audited;
+  bool Checked = false;
+  stepThroughCalls(F, [&](VirtualMachine &VM, ThreadState &T, uint32_t) {
+    if (Checked || T.Frames.back().Method != F.G)
+      return;
+    Checked = true;
+    ASSERT_EQ(T.Frames.size(), 2u);
+    Frame &Caller = T.Frames.front();
+    Frame &Top = T.Frames.back();
+    EXPECT_NO_THROW(VM.auditState("unit"));
+    auto expectCaught = [&](const char *What, auto &Field, auto Bad) {
+      const auto Good = Field;
+      Field = Bad;
+      EXPECT_THROW(VM.auditState("unit"), audit::AuditError) << What;
+      Field = Good;
+    };
+    expectCaught("inlined cost table on a physical frame", Top.Cost,
+                 VM.frameCostTable(F.G, Top.Variant->Level, true));
+    expectCaught("another level's cost table", Top.Cost,
+                 VM.frameCostTable(F.G, OptLevel::Opt2, false));
+    expectCaught("locals above the stack base", Top.LocalsBase,
+                 Top.StackBase + 1);
+    expectCaught("top window above the slab top", Top.StackBase,
+                 T.SlabTop + 1);
+    expectCaught("caller window over the callee's locals", Caller.StackBase,
+                 Top.LocalsBase + 1);
+    EXPECT_NO_THROW(VM.auditState("unit"));
+  });
+  EXPECT_TRUE(Checked);
 }

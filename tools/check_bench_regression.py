@@ -1,107 +1,151 @@
 #!/usr/bin/env python3
-"""Gate host-wall-time regressions between two BENCH_interp.json files.
+"""Gate host-time regressions between two benchmark result files.
 
-Compares google-benchmark JSON exports (the artifacts the bench-release
-CI job uploads) benchmark-by-benchmark and fails when any benchmark
-present in both files got slower than the threshold. Simulated-cycle
-behaviour is pinned by goldens; this gate covers the other half of the
-contract — the host wall time those goldens deliberately ignore.
+Reads two shapes; both files must have the same one.
+
+- google-benchmark JSON exports (BENCH_interp.json, and the bench
+  drivers' BENCH_warm_start/share/budget.json): compared
+  benchmark-by-benchmark, failing when any benchmark present in both
+  files got slower than --threshold percent (default 10).
+- perfbench results, the last line `perfbench/run.py` prints
+  (BENCH_e2e.json): {"correct", "metrics": {name: {"value", "unit"}}},
+  names optionally prefixed "<workload>." as `--workload all` does.
+  Host times `wall_s` and `cpu_s` fail when they grow by more than
+  their end-to-end bound in BENCHMARK.json.
+  The deterministic simulated totals (sim_cycles, sim_opt_code_bytes,
+  sim_compile_cycles) must be exactly equal: a one-cycle change is a
+  behaviour change, not noise. A current result that reports
+  "correct": false fails.
+
+Simulated-cycle behaviour is also pinned by goldens; this gate covers the
+host time those goldens deliberately ignore.
 
 Usage:
   tools/check_bench_regression.py BASELINE.json CURRENT.json [--threshold 10]
 
 Exit status: 0 when no gated regression (or no usable baseline — a cold
-cache must not fail CI), 1 when at least one benchmark regressed beyond
-the threshold, 2 on malformed input.
+cache must not fail CI), 1 when at least one gated metric regressed, 2 on
+malformed input.
 
-Throughput (items_per_second) is preferred when both sides report it,
-falling back to real_time; aggregate rows (mean/median/stddev) and
-error rows are skipped. Benchmarks that exist on only one side are
-reported but never gate — adding or retiring a benchmark is not a
-regression.
+For google-benchmark files, throughput (items_per_second) is preferred
+when both sides report it, falling back to real_time; aggregate rows
+(mean/median/stddev) and error rows are skipped. Benchmarks or metrics
+that exist on only one side are reported but never gate — adding or
+retiring one is not a regression.
 """
 
 import argparse
 import json
+import os
 import sys
 
+SPEC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "BENCHMARK.json")
 
-def load_benchmarks(path, missing_ok=False):
-    """Returns {name: (items_per_second or None, real_time_ns)},
-    or None when missing_ok and the file does not exist."""
+# perfbench metrics gated on host time, at their BENCHMARK.json bound.
+HOST_GATED = ("wall_s", "cpu_s")
+# perfbench metrics that must not move at all. sim_minstr_per_s is not
+# here: it divides simulated work by host seconds.
+EXACT = ("sim_cycles", "sim_opt_code_bytes", "sim_compile_cycles")
+
+
+def fail_input(message):
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def read_json(path, missing_ok=False):
+    """Returns the parsed JSON object in path, or None when missing_ok and
+    the file does not exist."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except FileNotFoundError:
         if missing_ok:
             return None
-        print(f"error: cannot read {path}: not found", file=sys.stderr)
-        sys.exit(2)
+        fail_input(f"cannot read {path}: not found")
     except (OSError, ValueError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
+        fail_input(f"cannot read {path}: {e}")
     if not isinstance(doc, dict):
-        print(f"error: {path}: top-level JSON value is "
-              f"{type(doc).__name__}, expected an object with a "
-              f"'benchmarks' array", file=sys.stderr)
-        sys.exit(2)
+        fail_input(f"{path}: top-level JSON value is {type(doc).__name__}, "
+                   f"expected an object with a 'benchmarks' array or a "
+                   f"'metrics' object")
+    return doc
+
+
+def is_perfbench(doc):
+    return "metrics" in doc
+
+
+def is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def load_benchmarks(path, doc):
+    """Returns {name: (items_per_second or None, real_time_ns)} from a
+    google-benchmark export."""
     benchmarks = doc.get("benchmarks", [])
     if not isinstance(benchmarks, list):
-        print(f"error: {path}: 'benchmarks' is "
-              f"{type(benchmarks).__name__}, expected an array",
-              file=sys.stderr)
-        sys.exit(2)
+        fail_input(f"{path}: 'benchmarks' is {type(benchmarks).__name__}, "
+                   f"expected an array")
     out = {}
     for i, b in enumerate(benchmarks):
         if not isinstance(b, dict):
-            print(f"error: {path}: benchmarks[{i}] is "
-                  f"{type(b).__name__}, expected an object",
-                  file=sys.stderr)
-            sys.exit(2)
+            fail_input(f"{path}: benchmarks[{i}] is {type(b).__name__}, "
+                       f"expected an object")
         if b.get("run_type") == "aggregate" or "error_occurred" in b:
             continue
         name = b.get("name")
         real = b.get("real_time")
         if name is None or real is None:
             continue
-        if not isinstance(real, (int, float)) or isinstance(real, bool):
-            print(f"error: {path}: benchmarks[{i}] ({name}): real_time is "
-                  f"{real!r}, expected a number", file=sys.stderr)
-            sys.exit(2)
+        if not is_number(real):
+            fail_input(f"{path}: benchmarks[{i}] ({name}): real_time is "
+                       f"{real!r}, expected a number")
         ips = b.get("items_per_second")
-        if ips is not None and (not isinstance(ips, (int, float))
-                                or isinstance(ips, bool)):
-            print(f"error: {path}: benchmarks[{i}] ({name}): "
-                  f"items_per_second is {ips!r}, expected a number",
-                  file=sys.stderr)
-            sys.exit(2)
+        if ips is not None and not is_number(ips):
+            fail_input(f"{path}: benchmarks[{i}] ({name}): items_per_second "
+                       f"is {ips!r}, expected a number")
         unit = b.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit)
         if scale is None:
-            print(f"error: {path}: unknown time_unit '{unit}'", file=sys.stderr)
-            sys.exit(2)
+            fail_input(f"{path}: unknown time_unit '{unit}'")
         out[name] = (ips, real * scale)
     return out
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("baseline")
-    p.add_argument("current")
-    p.add_argument("--threshold", type=float, default=10.0,
-                   help="percent slowdown that fails the gate (default 10)")
-    args = p.parse_args()
+def load_metrics(path, doc):
+    """Returns {name: value} from a perfbench result."""
+    metrics = doc["metrics"]
+    if not isinstance(metrics, dict):
+        fail_input(f"{path}: 'metrics' is {type(metrics).__name__}, "
+                   f"expected an object")
+    out = {}
+    for name, m in metrics.items():
+        value = m.get("value") if isinstance(m, dict) else None
+        if not is_number(value):
+            fail_input(f"{path}: metric {name}: expected "
+                       f"{{\"value\": <number>, \"unit\": ...}}, got {m!r}")
+        out[name] = value
+    return out
 
-    base = load_benchmarks(args.baseline, missing_ok=True)
-    if not base:
-        # A cold baseline cache (first run on a branch) must not fail CI.
-        print(f"no usable baseline at {args.baseline}; nothing to gate")
-        return 0
-    cur = load_benchmarks(args.current)
-    if not cur:
-        print(f"error: no benchmarks in {args.current}", file=sys.stderr)
-        return 2
 
+def end_to_end_bounds():
+    """{metric: bound} for the host-time metrics, from BENCHMARK.json."""
+    try:
+        with open(SPEC) as f:
+            spec = json.load(f)
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        fail_input(f"cannot read end-to-end bounds from {SPEC}: {e}")
+    missing = [m for m in HOST_GATED if m not in bounds]
+    if missing:
+        fail_input(f"{SPEC} declares no bound for {', '.join(missing)}")
+    return {m: bounds[m] for m in HOST_GATED}
+
+
+def compare_benchmarks(base, cur, threshold):
+    """Returns [(name, slowdown_pct)] for benchmarks slower than threshold."""
     regressions = []
     print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} {'delta':>8}")
     for name in sorted(base):
@@ -123,21 +167,92 @@ def main():
             slowdown_pct = (c_ns / b_ns - 1.0) * 100.0
             b_disp, c_disp = f"{b_ns:.3g}ns", f"{c_ns:.3g}ns"
         verdict = ""
-        if slowdown_pct > args.threshold:
-            regressions.append((name, slowdown_pct))
+        if slowdown_pct > threshold:
+            regressions.append((name, f"{slowdown_pct:+.1f}%"))
             verdict = "  REGRESSED"
         print(f"{name:<44} {b_disp:>12} {c_disp:>12} "
               f"{slowdown_pct:>+7.1f}%{verdict}")
     for name in sorted(set(cur) - set(base)):
         print(f"{name:<44} {'(new)':>12}")
+    return regressions
+
+
+def compare_metrics(base, cur):
+    """Returns [(name, why)] for gated perfbench metrics that regressed."""
+    bounds = end_to_end_bounds()
+    regressions = []
+    print(f"{'metric':<36} {'baseline':>14} {'current':>14} {'delta':>8}")
+    for name in sorted(base):
+        metric = name.rsplit(".", 1)[-1]
+        if name not in cur:
+            print(f"{name:<36} {'(retired)':>14}")
+            continue
+        b, c = base[name], cur[name]
+        delta = f"{(c / b - 1.0) * 100.0:>+7.1f}%" if b else f"{'':>8}"
+        verdict = ""
+        if metric in EXACT and c != b:
+            regressions.append((name, f"{b:.17g} -> {c:.17g}, must be equal"))
+            verdict = "  CHANGED"
+        elif metric in HOST_GATED and b > 0:
+            bound = bounds[metric]
+            if c > b * (1.0 + bound):
+                regressions.append((name, f"{(c / b - 1.0) * 100.0:+.1f}% "
+                                          f"(bound {bound * 100.0:g}%)"))
+                verdict = "  REGRESSED"
+        elif metric not in EXACT + HOST_GATED:
+            verdict = "  (not gated)"
+        print(f"{name:<36} {b:>14.6g} {c:>14.6g} {delta}{verdict}")
+    for name in sorted(set(cur) - set(base)):
+        print(f"{name:<36} {'(new)':>14}")
+    return regressions
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("baseline")
+    p.add_argument("current")
+    p.add_argument("--threshold", type=float, default=10.0,
+                   help="percent slowdown that fails a google-benchmark "
+                        "comparison (default 10); perfbench results use "
+                        "the BENCHMARK.json bounds")
+    args = p.parse_args()
+
+    base_doc = read_json(args.baseline, missing_ok=True)
+    cur_doc = read_json(args.current)
+    if base_doc is not None and is_perfbench(base_doc) != is_perfbench(cur_doc):
+        fail_input(f"{args.baseline} and {args.current} are not the same "
+                   f"kind of result (google-benchmark vs perfbench)")
+
+    if is_perfbench(cur_doc):
+        cur = load_metrics(args.current, cur_doc)
+        base = load_metrics(args.baseline, base_doc) if base_doc else None
+    else:
+        cur = load_benchmarks(args.current, cur_doc)
+        base = load_benchmarks(args.baseline, base_doc) if base_doc else None
+    if not base:
+        # A cold baseline cache (first run on a branch) must not fail CI.
+        print(f"no usable baseline at {args.baseline}; nothing to gate")
+        return 0
+    if not cur:
+        fail_input(f"no benchmarks in {args.current}")
+
+    if is_perfbench(cur_doc):
+        regressions = compare_metrics(base, cur)
+        if cur_doc.get("correct") is False:
+            regressions.append(("correct", "the current run reported a "
+                                           "wrong result"))
+        what = "perfbench metric(s) regressed"
+    else:
+        regressions = compare_benchmarks(base, cur, args.threshold)
+        what = (f"benchmark(s) regressed more than {args.threshold:g}% in "
+                f"host wall time")
 
     if regressions:
-        print(f"\n{len(regressions)} benchmark(s) regressed more than "
-              f"{args.threshold:g}% in host wall time:", file=sys.stderr)
-        for name, pct in regressions:
-            print(f"  {name}: {pct:+.1f}%", file=sys.stderr)
+        print(f"\n{len(regressions)} {what}:", file=sys.stderr)
+        for name, why in regressions:
+            print(f"  {name}: {why}", file=sys.stderr)
         return 1
-    print(f"\nok: no benchmark regressed more than {args.threshold:g}%")
+    print("\nok: no gated regression")
     return 0
 
 
