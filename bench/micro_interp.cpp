@@ -4,8 +4,9 @@
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
 //
 // google-benchmark microbenchmarks for the VM substrate: interpreter
-// throughput on arithmetic and call-heavy code, inline-plan dispatch, and
-// the optimizing compiler itself.
+// throughput on arithmetic and call-heavy code, inline-plan dispatch, the
+// optimizing compiler itself, and the bounded code cache's install and
+// evict path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,9 @@
 #include "workload/WorkloadCommon.h"
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
 
 using namespace aoci;
 
@@ -375,6 +379,59 @@ void BM_OptCompileFigureOneRunTest(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_OptCompileFigureOneRunTest);
+
+/// Install throughput of a bounded code cache that holds four variants:
+/// every install evicts the least recently used one. The argument is the
+/// number of variants installed (and evicted) before the timed batch.
+/// An install and its eviction should cost the same whatever that
+/// history, so items/s at /1024 and /16384 should match; a path that
+/// scans every variant ever installed falls with the history.
+void BM_CodeCacheChurn(benchmark::State &State) {
+  constexpr unsigned NumMethods = 8;
+  constexpr uint64_t VariantBytes = 100;
+  constexpr int64_t Batch = 1024;
+  ProgramBuilder B;
+  ClassId C = B.addClass("Main");
+  for (unsigned I = 0; I != NumMethods; ++I) {
+    MethodId M = B.declareMethod(C, "m" + std::to_string(I),
+                                 MethodKind::Static, 0, true);
+    CodeEmitter E = B.code(M);
+    E.iconst(static_cast<int64_t>(I)).vreturn();
+    E.finish();
+    if (I == 0)
+      B.setEntry(M);
+  }
+  const Program P = B.build();
+  CostModel Model;
+  Model.CodeCache.CapacityBytes = 4 * VariantBytes;
+
+  const int64_t History = State.range(0);
+  // Built and torn down while the timer is paused: freeing the history
+  // is not part of an install.
+  std::unique_ptr<VirtualMachine> VM;
+  for (auto _ : State) {
+    State.PauseTiming();
+    VM = std::make_unique<VirtualMachine>(P, Model);
+    uint64_t Seq = 0;
+    auto InstallOne = [&] {
+      auto V = std::make_unique<CodeVariant>();
+      V->M = static_cast<MethodId>(Seq % NumMethods);
+      V->Level = OptLevel::Opt1;
+      V->CodeBytes = VariantBytes;
+      // Monotone install clock: the oldest variant is always the victim.
+      V->CompiledAtCycle = Seq++;
+      VM->codeManager().install(std::move(V));
+    };
+    for (int64_t I = 0; I != History; ++I)
+      InstallOne();
+    State.ResumeTiming();
+    for (int64_t I = 0; I != Batch; ++I)
+      InstallOne();
+    benchmark::DoNotOptimize(VM->codeManager().numEvictions());
+  }
+  State.SetItemsProcessed(State.iterations() * Batch);
+}
+BENCHMARK(BM_CodeCacheChurn)->Arg(1 << 10)->Arg(1 << 14);
 
 } // namespace
 

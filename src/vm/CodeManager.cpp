@@ -87,12 +87,8 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
       FusedBytesTotal += Ptr->Fused->FusedBytes;
     }
   }
-  unsigned Serial = 0;
-  for (const auto &Existing : Variants)
-    if (Existing->M == Ptr->M)
-      ++Serial;
-  Ptr->SerialNumber = Serial;
-  Ptr->InstallSeq = NextInstallSeq++;
+  Ptr->SerialNumber = InstallCount[Ptr->M]++;
+  Ptr->InstallSeq = static_cast<unsigned>(Variants.size());
   // Installation counts as a use: freshly compiled code must not be the
   // least-recently-used victim before it ever runs.
   Ptr->LastUsedCycle = Ptr->CompiledAtCycle;
@@ -167,11 +163,11 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
   if (Ptr->Level == OptLevel::Baseline)
     Baseline[Ptr->M] = Ptr;
   Variants.push_back(std::move(Variant));
+  LiveSlot.push_back(static_cast<uint32_t>(Live.size()));
+  Live.push_back(Ptr);
 
-  // Tell the engine before enforcing capacity, so dispatch memos aimed at
-  // the superseded variant are gone by the time an eviction pass audits.
-  if (Delegate)
-    Delegate->onInstalled(*Ptr, KeepCurrent ? nullptr : Prev);
+  if (Delegate && audit::enabled())
+    Delegate->auditCodeChange("install");
   enforceCapacity(Ptr);
   // The high-water mark is taken at install boundaries outside eviction
   // passes: baselines materialized mid-deopt transiently overshoot until
@@ -183,15 +179,14 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
 }
 
 bool CodeManager::evictNow(const CodeVariant &V) {
-  CodeVariant *Target = nullptr;
-  for (const auto &Owned : Variants)
-    if (Owned.get() == &V) {
-      Target = Owned.get();
-      break;
-    }
-  assert(Target && "evictNow on a variant this manager does not own");
-  if (!Target || Target->Evicted)
+  // InstallSeq is the variant's position in Variants, which both proves
+  // ownership and yields the mutable variant without a scan.
+  const bool Owned =
+      V.InstallSeq < Variants.size() && Variants[V.InstallSeq].get() == &V;
+  assert(Owned && "evictNow on a variant this manager does not own");
+  if (!Owned || V.Evicted)
     return true;
+  CodeVariant *Target = Variants[V.InstallSeq].get();
   if (!Delegate)
     return false; // liveness unknowable: pinned, like enforceCapacity
   // Mirror enforceCapacity's re-entrancy discipline: baselines the deopt
@@ -215,8 +210,8 @@ bool CodeManager::evictNow(const CodeVariant &V) {
 
 uint64_t CodeManager::sharedInBytesLive() const {
   uint64_t Bytes = 0;
-  for (const auto &V : Variants)
-    if (!V->Evicted && V->SharedIn)
+  for (const CodeVariant *V : Live)
+    if (V->SharedIn)
       Bytes += V->CodeBytes;
   return Bytes;
 }
@@ -233,7 +228,9 @@ namespace {
 
 /// Deterministic victim order: least-recently-invoked first under Lru
 /// (install sequence breaking ties), pure install order under Fifo. Both
-/// keys derive from the simulated clock alone.
+/// keys derive from the simulated clock alone, and InstallSeq is unique,
+/// so this is a strict total order: the first candidate under it is the
+/// same whatever order the candidates are scanned in.
 bool victimBefore(EvictPolicy Policy, const CodeVariant &A,
                   const CodeVariant &B) {
   if (Policy == EvictPolicy::Lru && A.LastUsedCycle != B.LastUsedCycle)
@@ -253,9 +250,8 @@ void CodeManager::enforceCapacity(const CodeVariant *JustInstalled) {
   while (LiveBytes > Model.CodeCache.CapacityBytes) {
     CodeVariant *Victim = nullptr;
     bool VictimPreferred = false;
-    for (const auto &Owned : Variants) {
-      CodeVariant *V = Owned.get();
-      if (V->Evicted || V == JustInstalled ||
+    for (CodeVariant *V : Live) {
+      if (V == JustInstalled ||
           std::find(Pinned.begin(), Pinned.end(), V) != Pinned.end())
         continue;
       // The controller's prefer-keep hook only reorders: preferred
@@ -283,6 +279,12 @@ void CodeManager::enforceCapacity(const CodeVariant *JustInstalled) {
 void CodeManager::evict(CodeVariant &V) {
   assert(!V.Evicted && "double eviction");
   V.Evicted = true;
+  // Swap-remove from the live index: the victim order never depends on
+  // the index order (see victimBefore).
+  CodeVariant *Last = Live.back();
+  Live[LiveSlot[V.InstallSeq]] = Last;
+  LiveSlot[Last->InstallSeq] = LiveSlot[V.InstallSeq];
+  Live.pop_back();
   // Fused handlers die with the code. prepareEviction proved no frame is
   // suspended in this variant, and pushFrame/retargetFrame re-read the
   // pointer on every (re)entry, so nothing can still hold the old map.
@@ -316,7 +318,8 @@ void CodeManager::evict(CodeVariant &V) {
     E.E = static_cast<int64_t>(Evictions - 1);
   }
 
-  Delegate->onEvicted(V);
+  if (audit::enabled())
+    Delegate->auditCodeChange("evict");
   auditAccounting("evict");
 }
 
@@ -324,9 +327,24 @@ void CodeManager::auditAccounting(const char *Where) const {
   if (!audit::enabled())
     return;
   uint64_t Sum = 0;
-  for (const auto &V : Variants)
-    if (!V->Evicted)
-      Sum += V->CodeBytes;
+  size_t NumLive = 0;
+  for (const auto &V : Variants) {
+    if (V->Evicted)
+      continue;
+    Sum += V->CodeBytes;
+    ++NumLive;
+    const uint32_t Slot = LiveSlot[V->InstallSeq];
+    audit::check(Slot < Live.size() && Live[Slot] == V.get(), "CodeManager",
+                 std::string(Where) + ": live variant #" +
+                     std::to_string(V->InstallSeq) +
+                     " is missing from the live index");
+  }
+  // Every live variant sits in its own slot, so with equal sizes the
+  // index holds nothing else (no tombstone, no duplicate).
+  audit::check(NumLive == Live.size(), "CodeManager",
+               std::string(Where) + ": live index holds " +
+                   std::to_string(Live.size()) + " variants, " +
+                   std::to_string(NumLive) + " are live");
   audit::check(Sum == LiveBytes, "CodeManager",
                std::string(Where) + ": live-byte ledger " +
                    std::to_string(LiveBytes) + " != sum of live variants " +

@@ -28,9 +28,9 @@ class TraceSink;
 
 /// The code cache's hook back into the execution engine, implemented by
 /// VirtualMachine. Declared here (vm layer) so CodeManager can evict
-/// without knowing about threads, inline caches, or the OSR subsystem:
-/// the delegate answers "is this variant safe to reclaim?" and absorbs
-/// the side effects (deopt, dispatch-table invalidation, cycle charges).
+/// without knowing about threads or the OSR subsystem: the delegate
+/// answers "is this variant safe to reclaim?" and absorbs the side
+/// effects (deopt, cycle charges).
 class CodeEvictionDelegate {
 public:
   virtual ~CodeEvictionDelegate() = default;
@@ -47,16 +47,12 @@ public:
   /// different victim.
   virtual bool prepareEviction(const CodeVariant &V) = 0;
 
-  /// \p V has just been evicted: drop every cached dispatch structure
-  /// (inline-cache code memos, MethodHotData-derived pointers) that could
-  /// still route execution into it.
-  virtual void onEvicted(const CodeVariant &V) = 0;
-
-  /// \p Installed has just become its method's current code, superseding
-  /// \p Superseded (null on first compile). Dispatch memos resolved to
-  /// the superseded variant must be dropped here.
-  virtual void onInstalled(const CodeVariant &Installed,
-                           const CodeVariant *Superseded) = 0;
+  /// The cache's code set has just changed at \p Where ("install" or
+  /// "evict"). The engine caches no variant pointer that outlives a
+  /// dispatch (every physical call reads current()), so nothing needs
+  /// dropping; the hook re-checks the engine's invariants under auditing
+  /// and is called only then.
+  virtual void auditCodeChange(const char *Where) const = 0;
 };
 
 /// Registry of compiled code. By default installation never frees the
@@ -73,14 +69,17 @@ public:
 /// identically. Evicted variants stay owned as tombstones (Evicted flag)
 /// so a stale pointer is an auditable bug, not a use-after-free; evicted
 /// methods recompile on re-entry through VirtualMachine::ensureCompiled.
+/// Victims are picked from an index of the live variants only, so an
+/// install or eviction costs time in the live set, not in every variant
+/// ever installed.
 class CodeManager {
 public:
   /// \p P must outlive the manager; install() consults it to build each
   /// variant's O(1) plan-site index. \p Model (copied) supplies the
   /// code-cache bound and the eviction cycle charges.
   explicit CodeManager(const Program &P, const CostModel &Model = CostModel())
-      : P(P), Model(Model), Current(P.numMethods(), nullptr),
-        Baseline(P.numMethods(), nullptr),
+      : P(P), Model(Model), InstallCount(P.numMethods(), 0),
+        Current(P.numMethods(), nullptr), Baseline(P.numMethods(), nullptr),
         PendingRecompile(P.numMethods(), 0) {}
 
   /// Current variant for \p M, or null when the method has never been
@@ -197,13 +196,14 @@ private:
   /// just produced would only thrash.
   void enforceCapacity(const CodeVariant *JustInstalled);
 
-  /// Reclaims \p V: flips the tombstone flag, rewrites the ledgers and
-  /// dispatch tables, charges EvictReclaimCycles, and emits the
-  /// code-evict trace event.
+  /// Reclaims \p V: flips the tombstone flag, removes it from the live
+  /// index, rewrites the ledgers and dispatch tables, charges
+  /// EvictReclaimCycles, and emits the code-evict trace event.
   void evict(CodeVariant &V);
 
   /// Throws audit::AuditError when the byte ledgers disagree with the
-  /// variant tombstone flags or a dispatch table points at evicted code.
+  /// variant tombstone flags, the live index does not hold each live
+  /// variant exactly once, or a dispatch table points at evicted code.
   /// No-op unless auditing is enabled (support/Audit.h).
   void auditAccounting(const char *Where) const;
 
@@ -212,7 +212,16 @@ private:
   TraceSink *Trace = nullptr;
   CodeEvictionDelegate *Delegate = nullptr;
   std::function<bool(MethodId)> PreferKeep;
+  /// Every variant ever installed; Variants[V.InstallSeq] is V.
   std::vector<std::unique_ptr<CodeVariant>> Variants;
+  /// The non-evicted variants, in no particular order (eviction swaps the
+  /// last entry into the victim's slot). The victim key is a strict total
+  /// order, so the order of this index never decides a victim.
+  std::vector<CodeVariant *> Live;
+  /// Slot of each live variant in Live, indexed by InstallSeq.
+  std::vector<uint32_t> LiveSlot;
+  /// Variants installed so far per method: the next SerialNumber.
+  std::vector<unsigned> InstallCount;
   std::vector<const CodeVariant *> Current;
   std::vector<const CodeVariant *> Baseline;
   /// Methods whose current code was evicted; the next install of such a
@@ -229,8 +238,6 @@ private:
   uint64_t FusedOpsTotal = 0;
   uint64_t FusedBytesTotal = 0;
   unsigned NumCompiles[NumOptLevels] = {0, 0, 0};
-  /// Next CodeVariant::InstallSeq to hand out.
-  unsigned NextInstallSeq = 0;
   /// True while enforceCapacity runs: installs performed by an
   /// eviction-triggered deopt (baseline materialization) must not
   /// recursively enforce capacity.

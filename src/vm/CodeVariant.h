@@ -44,7 +44,8 @@ struct CodeVariant {
   uint64_t CompiledAtCycle = 0;
   /// Monotonic per-method recompilation counter (0 = first compile).
   unsigned SerialNumber = 0;
-  /// Global installation sequence number (0 = first install in the run).
+  /// Global installation sequence number (0 = first install in the run),
+  /// which is also the variant's index in CodeManager::allVariants().
   /// Eviction tie-break key: install order is pure simulated state.
   unsigned InstallSeq = 0;
   /// VM clock at the most recent physical invocation (or OSR/deopt

@@ -288,7 +288,6 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
   // would pay.
   MethodId Target = DeclId;
   uint64_t DispatchCost = 0;
-  MethodHotData::IcEntry *IcSlot = nullptr;
   if (I.Op == Opcode::InvokeVirtual || I.Op == Opcode::InvokeInterface) {
     const Value &Receiver = T.Slab[T.SlabTop - ArgSlots];
     assert(Receiver.isRef() && "null or non-reference receiver");
@@ -308,9 +307,7 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
       assert(Target != InvalidMethodId && "receiver does not implement method");
       Ic.Receiver = Obj.Klass;
       Ic.Target = Target;
-      Ic.Code = nullptr;
     }
-    IcSlot = &Ic;
     DispatchCost = I.Op == Opcode::InvokeVirtual ? Model.VirtualDispatch
                                                  : Model.InterfaceDispatch;
   }
@@ -346,20 +343,7 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
   }
 
   charge(Model.CallOverhead + DispatchCost);
-  // The inline cache also memoizes the target's code. A hit skips the
-  // ensureCompiled() lookup, which charges nothing for already-compiled
-  // methods — so the memo is cycle-neutral, but ONLY as long as install
-  // and evict drop stale entries (see onInstalled/onEvicted).
-  const CodeVariant *V;
-  if (IcSlot != nullptr && IcSlot->Code != nullptr) {
-    assert(IcSlot->Code == Code.current(Target) && "stale inline-cache code");
-    V = IcSlot->Code;
-  } else {
-    V = ensureCompiled(Target);
-    if (IcSlot != nullptr)
-      IcSlot->Code = V;
-  }
-  enterPhysicalFrame(T, Target, V);
+  enterPhysicalFrame(T, Target, ensureCompiled(Target));
   // A physical method entry is a prologue yieldpoint (Section 3.2): if the
   // timer has fired, the edge/trace listeners sample here.
   maybeDeliverSample(T, /*AtPrologue=*/true);
@@ -402,8 +386,14 @@ void VirtualMachine::handleReturn(ThreadState &T, bool HasValue) {
     T.Slab[T.SlabTop++] = Ret;
 }
 
-void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
-                               uint64_t MaxInstr) {
+// Starts on a cache-line boundary. The loop's host speed depends on where
+// its branch targets fall relative to cache lines, and without the pin a
+// size change anywhere earlier in this file moves them: dropping a few
+// instructions from handleCall left the function 16 bytes past a line and
+// cost micro_interp's ArithmeticLoop, which never calls, about 10%.
+__attribute__((aligned(64))) void
+VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
+                          uint64_t MaxInstr) {
   // Outer loop: (re-)derive the cached view of the top frame. The inner
   // loop executes with PC and the operand-stack top in locals, spilling
   // them back only where someone else can observe them — frame entry/exit
@@ -1021,28 +1011,6 @@ bool VirtualMachine::prepareEviction(const CodeVariant &V) {
   return true;
 }
 
-void VirtualMachine::invalidateIcMemos(const CodeVariant &V) {
-  for (MethodHotData &Hot : HotData)
-    for (MethodHotData::IcEntry &Ic : Hot.InlineCaches)
-      if (Ic.Code == &V)
-        Ic.Code = nullptr;
-}
-
-void VirtualMachine::onEvicted(const CodeVariant &V) {
-  // The interpreter must never dispatch into reclaimed code: drop every
-  // inline-cache memo that resolved to the evicted variant. Receiver and
-  // Target survive — they are pure functions of the class hierarchy.
-  invalidateIcMemos(V);
-  auditState("evict");
-}
-
-void VirtualMachine::onInstalled(const CodeVariant & /*Installed*/,
-                                 const CodeVariant *Superseded) {
-  if (Superseded != nullptr)
-    invalidateIcMemos(*Superseded);
-  auditState("install");
-}
-
 void VirtualMachine::auditState(const char *Where) const {
   if (!audit::enabled())
     return;
@@ -1077,18 +1045,6 @@ void VirtualMachine::auditState(const char *Where) const {
                        (!F.Inlined && F.Variant != nullptr &&
                         F.Fuse == F.Variant->Fused.get()),
                    "vm", At + " holds a stale fused-handler map");
-    }
-  }
-  for (size_t M = 0; M != HotData.size(); ++M) {
-    for (const MethodHotData::IcEntry &Ic : HotData[M].InlineCaches) {
-      if (Ic.Code == nullptr)
-        continue;
-      audit::check(!Ic.Code->Evicted && Ic.Code->M == Ic.Target &&
-                       Ic.Code == Code.current(Ic.Target),
-                   "vm",
-                   std::string(Where) + ": inline cache in method " +
-                       std::to_string(M) + " memoizes stale code of method " +
-                       std::to_string(Ic.Target));
     }
   }
 }

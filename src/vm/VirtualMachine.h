@@ -73,16 +73,13 @@ struct MethodHotData {
   /// receiver class seen at the site and the resolveVirtual() target it
   /// memoizes. Resolution is a pure function of (receiver class, override
   /// root), so the cache can never change a dispatch outcome — only skip
-  /// the hierarchy walk. Allocated on the first virtual/interface call.
+  /// the hierarchy walk. It holds no code pointer: a hit still reads the
+  /// target's current variant (one load), so no install or eviction can
+  /// leave it pointing at stale code. Allocated on the first
+  /// virtual/interface call.
   struct IcEntry {
     ClassId Receiver = InvalidClassId;
     MethodId Target = InvalidMethodId;
-    /// Memoized Target code — the variant the site last dispatched into,
-    /// skipping the ensureCompiled() lookup on a hit. Unlike Receiver and
-    /// Target this is NOT a pure memo: it must be dropped when the
-    /// target's code is superseded or evicted (the classic stale-IC JIT
-    /// bug), which CodeEvictionDelegate::onInstalled/onEvicted do.
-    const CodeVariant *Code = nullptr;
   };
   std::vector<IcEntry> InlineCaches;
 };
@@ -285,11 +282,10 @@ public:
   /// cached body pointer matches its method's hot data and its cost table
   /// is the method's for (variant level, inlined); each frame's slab
   /// window [LocalsBase, StackBase) lies at or below the next frame's
-  /// LocalsBase (the top frame's at or below SlabTop); and every
-  /// inline-cache code memo points at the target's current variant.
-  /// Throws audit::AuditError on violation; no-op unless auditing is
-  /// enabled. The code manager calls this after installs and evictions
-  /// (through the delegate); the OSR manager after transfers.
+  /// LocalsBase (the top frame's at or below SlabTop). Throws
+  /// audit::AuditError on violation; no-op unless auditing is enabled.
+  /// The code manager calls this after installs and evictions (through
+  /// the delegate); the OSR manager after transfers.
   void auditState(const char *Where) const;
 
 private:
@@ -301,11 +297,9 @@ private:
   /// Reclaim work stalls the application thread, like a GC pause.
   void chargeEviction(uint64_t Cycles) override { chargeMutator(Cycles); }
   bool prepareEviction(const CodeVariant &V) override;
-  void onEvicted(const CodeVariant &V) override;
-  void onInstalled(const CodeVariant &Installed,
-                   const CodeVariant *Superseded) override;
-  /// Drops every inline-cache code memo that resolves to \p V.
-  void invalidateIcMemos(const CodeVariant &V);
+  void auditCodeChange(const char *Where) const override {
+    auditState(Where);
+  }
   /// The interpreter's inner loop: executes thread \p T until it finishes,
   /// the clock reaches \p StopClock, or \p MaxInstr instructions have run.
   /// Hot frame state (PC, operand-stack top, body/cost/slab pointers) is

@@ -9,13 +9,14 @@
 //       — are byte-identical to the unbounded registry;
 //   (2) eviction is deterministic: victims follow (LastUsedCycle,
 //       InstallSeq), so a parallel grid sweep with eviction on exports
-//       the same CSV bytes as a serial one;
+//       the same CSV bytes as a serial one, and picking them from the
+//       live index alone finds the victims a scan of every variant ever
+//       installed finds;
 //   (3) evicting code with live activations routes through the OSR
 //       driver's deoptimization and is the identity on source-level
 //       frame state; unevictable activations pin their variant instead;
 //   (4) a method whose code was fully evicted recompiles on re-entry,
-//       and every cached dispatch structure (inline-cache code memos)
-//       aimed at evicted code is dropped at eviction time;
+//       also when an inline-cache hit dispatches to it;
 //   (5) code-evict trace events cost zero simulated cycles and their
 //       exported JSON bytes are pinned by a golden fixture.
 //
@@ -36,7 +37,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
 #include <sstream>
+#include <string>
+#include <utility>
 
 using namespace aoci;
 
@@ -46,7 +51,7 @@ namespace {
 // Hand-built programs (the deep call chain is in DeepProgram.h)
 //===----------------------------------------------------------------------===//
 
-/// A monomorphic virtual-dispatch loop, the inline-cache memo's natural
+/// A monomorphic virtual-dispatch loop, the inline cache's natural
 /// habitat: main() { i = N; s = 0; obj = new A; while (i != 0)
 /// { s += obj.f(); i--; } return s; } with A::f() returning 1.
 struct VirtualLoopProgram {
@@ -292,16 +297,16 @@ TEST(CodeCacheEvictionTest, EvictingLiveInlineGroupDeoptsAndPreservesState) {
 }
 
 //===----------------------------------------------------------------------===//
-// (4) Eviction drops stale inline-cache code memos.
+// (4) An inline-cache hit never dispatches into evicted code.
 //===----------------------------------------------------------------------===//
 
 TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
-  // The regression this guards: the call site in main memoizes the
-  // variant it last dispatched into (IcEntry::Code). Evicting that
-  // variant without dropping the memo leaves the interpreter one IC hit
-  // away from entering tombstoned code — the classic stale-IC JIT bug.
-  // With auditing on, a surviving memo throws AuditError inside the
-  // eviction itself; the behavioral checks below would then never run.
+  // The regression this guards is the classic stale-IC JIT bug: a call
+  // site whose inline cache remembers the code it last dispatched into
+  // enters that code after it was evicted. The inline cache memoizes
+  // only the receiver class and target method, and every hit reads the
+  // target's current code, so after f's code is evicted the next hit at
+  // main's call site must recompile f instead of entering the tombstone.
   audit::Scope Audited;
   const int64_t N = 200;
   VirtualLoopProgram VP(N);
@@ -377,6 +382,189 @@ TEST(CodeCacheGridTest, ParallelGridCsvMatchesSerialWithEvictionOn) {
   };
   EXPECT_GT(totalEvictions(Serial), 0u);
   EXPECT_EQ(totalEvictions(Serial), totalEvictions(Parallel));
+}
+
+//===----------------------------------------------------------------------===//
+// (2) The live index picks the victims a scan of every variant picks.
+//===----------------------------------------------------------------------===//
+
+/// The victims of one capacity pass, found the way a registry without a
+/// live index finds them: scan every variant ever installed, tombstones
+/// included, in install order for the first candidate in (prefer-keep
+/// tier, policy order), skip it if pinned, evict it otherwise, until the
+/// live bytes fit. \p Dead holds the tombstone flags of \p All before
+/// the pass.
+std::vector<const CodeVariant *>
+scanVictims(const std::vector<std::unique_ptr<CodeVariant>> &All,
+            std::vector<uint8_t> Dead, const CodeVariant *JustInstalled,
+            const CodeCacheConfig &Cache,
+            const std::function<bool(MethodId)> &PreferKeep,
+            const std::function<bool(const CodeVariant &)> &Pinned,
+            unsigned &PinnedSkips) {
+  uint64_t LiveBytes = 0;
+  for (size_t I = 0; I != All.size(); ++I)
+    if (!Dead[I])
+      LiveBytes += All[I]->CodeBytes;
+  std::vector<uint8_t> Skipped(All.size(), 0);
+  std::vector<const CodeVariant *> Victims;
+  while (LiveBytes > Cache.CapacityBytes) {
+    const CodeVariant *Best = nullptr;
+    size_t BestAt = 0;
+    bool BestKeep = false;
+    for (size_t I = 0; I != All.size(); ++I) {
+      const CodeVariant &V = *All[I];
+      if (Dead[I] || Skipped[I] || &V == JustInstalled)
+        continue;
+      const bool Keep = PreferKeep && PreferKeep(V.M);
+      // Scanning in install order, the earlier variant wins every tie.
+      if (!Best || (BestKeep && !Keep) ||
+          (BestKeep == Keep && Cache.Policy == EvictPolicy::Lru &&
+           V.LastUsedCycle < Best->LastUsedCycle)) {
+        Best = &V;
+        BestAt = I;
+        BestKeep = Keep;
+      }
+    }
+    if (!Best)
+      break;
+    if (Pinned(*Best)) {
+      Skipped[BestAt] = 1;
+      ++PinnedSkips;
+      continue;
+    }
+    Dead[BestAt] = 1;
+    LiveBytes -= Best->CodeBytes;
+    Victims.push_back(Best);
+  }
+  return Victims;
+}
+
+TEST(CodeCacheIndexTest, VictimsMatchAScanOfEveryVariant) {
+  audit::Scope Audited;
+  DeepProgram D = deepProgram(/*Calls=*/3, /*Iters=*/50);
+  const MethodId Methods[] = {D.Main, D.Outer, D.Mid, D.Inner};
+
+  for (EvictPolicy Policy : {EvictPolicy::Lru, EvictPolicy::Fifo}) {
+    for (bool WithPreference : {false, true}) {
+      SCOPED_TRACE(std::string(evictPolicyName(Policy)) +
+                   (WithPreference ? " with" : " without") +
+                   " a prefer-keep hook");
+      CostModel Model;
+      uint64_t BaselineSum = 0;
+      for (MethodId M : Methods)
+        BaselineSum +=
+            Model.codeBytes(OptLevel::Baseline, D.P.method(M).machineSize());
+      Model.CodeCache.CapacityBytes = BaselineSum + 1500;
+      Model.CodeCache.Policy = Policy;
+
+      VirtualMachine VM(D.P, Model);
+      CodeManager &Code = VM.codeManager();
+      std::function<bool(MethodId)> PreferKeep;
+      if (WithPreference) {
+        PreferKeep = [&D](MethodId M) { return M == D.Outer || M == D.Inner; };
+        Code.setEvictPreference(PreferKeep);
+      }
+      TraceSink Sink;
+      Sink.enable(traceKindBit(TraceEventKind::CodeEvict));
+      VM.setTraceSink(&Sink);
+      VM.addThread(D.P.entryMethod());
+      ThreadState &T = *VM.threads()[0];
+      // main, outer, mid and inner are all active on their baselines.
+      // With no OSR driver a live activation cannot move, so all four
+      // stay pinned through the churn below.
+      stepUntil(VM, T, [&] { return T.Frames.size() == 4; });
+      auto Pinned = [&T](const CodeVariant &V) {
+        for (const Frame &F : T.Frames)
+          if (F.Variant == &V)
+            return true;
+        return false;
+      };
+      // The victims' (method, serial) pairs, in eviction order.
+      auto EvictedSince = [&Sink] {
+        std::vector<std::pair<MethodId, int64_t>> Out;
+        Sink.forEach([&Out](const TraceEvent &E) {
+          Out.emplace_back(E.Method, E.C);
+        });
+        Sink.clear();
+        return Out;
+      };
+      auto Expected = [](const std::vector<const CodeVariant *> &Victims) {
+        std::vector<std::pair<MethodId, int64_t>> Out;
+        for (const CodeVariant *V : Victims)
+          Out.emplace_back(V->M, V->SerialNumber);
+        return Out;
+      };
+      auto DeadFlags = [&Code] {
+        std::vector<uint8_t> Dead;
+        for (const auto &V : Code.allVariants())
+          Dead.push_back(V->Evicted ? 1 : 0);
+        return Dead;
+      };
+
+      std::mt19937_64 Rng(20260 + static_cast<unsigned>(Policy) * 2 +
+                          (WithPreference ? 1 : 0));
+      uint64_t Now = VM.cycles();
+      unsigned PinnedSkips = 0, ForcedEvictions = 0;
+      for (unsigned K = 0; K != 400; ++K) {
+        const auto &All = Code.allVariants();
+        const unsigned Op = Rng() % 8;
+        if (Op == 0) {
+          // An invocation restamps a variant's LRU key, possibly to a
+          // value another variant already holds.
+          const CodeVariant &V = *All[Rng() % All.size()];
+          if (!V.Evicted)
+            V.LastUsedCycle = Rng() % (Now + 1);
+          continue;
+        }
+        if (Op == 1) {
+          const CodeVariant &V = *All[Rng() % All.size()];
+          const bool WasEvicted = V.Evicted;
+          const bool Reclaimable = WasEvicted || !Pinned(V);
+          ASSERT_EQ(Code.evictNow(V), Reclaimable) << "step " << K;
+          EXPECT_TRUE(V.Evicted == Reclaimable);
+          const auto Events = EvictedSince();
+          ASSERT_EQ(Events.size(), Reclaimable && !WasEvicted ? 1u : 0u);
+          ForcedEvictions += static_cast<unsigned>(Events.size());
+          continue;
+        }
+        const std::vector<uint8_t> DeadBefore = DeadFlags();
+        const MethodId M = Methods[Rng() % 4];
+        const OptLevel Level = Rng() % 2 ? OptLevel::Opt1 : OptLevel::Opt2;
+        auto V = planlessVariant(D.P, M, Level);
+        // Now and then a variant larger than the whole cache: the pass
+        // evicts every unpinned variant and still cannot fit.
+        V->CodeBytes = Rng() % 16 == 0 ? 5000 : 50 + Rng() % 700;
+        Now += 1 + Rng() % 4;
+        V->CompiledAtCycle = Now;
+        const CodeVariant *Installed = Code.install(std::move(V));
+
+        std::vector<uint8_t> Dead = DeadBefore;
+        Dead.push_back(0);
+        const auto Victims = scanVictims(All, Dead, Installed,
+                                         Model.CodeCache, PreferKeep, Pinned,
+                                         PinnedSkips);
+        ASSERT_EQ(EvictedSince(), Expected(Victims)) << "step " << K;
+
+        unsigned Serial = 0;
+        uint64_t LiveBytes = 0;
+        for (const auto &Other : All) {
+          if (Other.get() != Installed && Other->M == Installed->M)
+            ++Serial;
+          if (!Other->Evicted)
+            LiveBytes += Other->CodeBytes;
+        }
+        ASSERT_EQ(Installed->SerialNumber, Serial) << "step " << K;
+        ASSERT_EQ(Code.liveCodeBytes(), LiveBytes) << "step " << K;
+      }
+      EXPECT_GT(Code.numEvictions(), 150u);
+      EXPECT_GT(ForcedEvictions, 0u);
+      EXPECT_GT(PinnedSkips, 0u) << "no pass ever met a pinned variant";
+
+      VM.setTraceSink(nullptr);
+      VM.run();
+      EXPECT_EQ(T.Result.asInt(), deepProgramResult(3, 50));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,27 +1,35 @@
 #!/usr/bin/env python3
-"""Gate host-time regressions between two benchmark result files.
+"""Gate host-time regressions between benchmark result files.
 
-Reads two shapes; both files must have the same one.
+Reads two shapes; every file must have the same one.
 
 - google-benchmark JSON exports (BENCH_interp.json, and the bench
   drivers' BENCH_warm_start/share/budget.json): compared
   benchmark-by-benchmark, failing when any benchmark present in both
   files got slower than --threshold percent (default 10).
 - perfbench results, the last line `perfbench/run.py` prints
-  (BENCH_e2e.json): {"correct", "metrics": {name: {"value", "unit"}}},
+  (CI's BENCH_e2e-N.json): {"correct", "metrics": {name: {"value", "unit"}}},
   names optionally prefixed "<workload>." as `--workload all` does.
-  Host times `wall_s` and `cpu_s` fail when they grow by more than
-  their end-to-end bound in BENCHMARK.json.
+  Each side may hold several runs. Host times `wall_s` and `cpu_s` are
+  compared as the median over each side's runs, and fail when the
+  current median exceeds the baseline median by more than their
+  end-to-end bound in BENCHMARK.json: one run on a shared host can land
+  in a slow phase, the median of three rarely does.
   The deterministic simulated totals (sim_cycles, sim_opt_code_bytes,
-  sim_compile_cycles) must be exactly equal: a one-cycle change is a
-  behaviour change, not noise. A current result that reports
-  "correct": false fails.
+  sim_compile_cycles) must be exactly equal in every file: a one-cycle
+  change is a behaviour change, not noise. A current result that
+  reports "correct": false fails.
 
 Simulated-cycle behaviour is also pinned by goldens; this gate covers the
 host time those goldens deliberately ignore.
 
 Usage:
   tools/check_bench_regression.py BASELINE.json CURRENT.json [--threshold 10]
+  tools/check_bench_regression.py --baseline B1.json [B2.json ...] \
+      --current C1.json [C2.json ...]
+
+Several files per side are accepted for perfbench results only. Missing
+baseline files are skipped.
 
 Exit status: 0 when no gated regression (or no usable baseline — a cold
 cache must not fail CI), 1 when at least one gated metric regressed, 2 on
@@ -37,6 +45,7 @@ retiring one is not a regression.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 SPEC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -177,11 +186,21 @@ def compare_benchmarks(base, cur, threshold):
     return regressions
 
 
-def compare_metrics(base, cur):
-    """Returns [(name, why)] for gated perfbench metrics that regressed."""
+def compare_metrics(base_runs, cur_runs):
+    """Returns [(name, why)] for gated perfbench metrics that regressed.
+    Each argument is a list of {name: value}, one per run."""
     bounds = end_to_end_bounds()
+
+    def medians(runs):
+        names = {name for run in runs for name in run}
+        return {name: statistics.median(run[name] for run in runs
+                                        if name in run)
+                for name in names}
+
+    base, cur = medians(base_runs), medians(cur_runs)
     regressions = []
-    print(f"{'metric':<36} {'baseline':>14} {'current':>14} {'delta':>8}")
+    print(f"{'metric (median)':<36} {'baseline':>14} {'current':>14} "
+          f"{'delta':>8}")
     for name in sorted(base):
         metric = name.rsplit(".", 1)[-1]
         if name not in cur:
@@ -190,16 +209,21 @@ def compare_metrics(base, cur):
         b, c = base[name], cur[name]
         delta = f"{(c / b - 1.0) * 100.0:>+7.1f}%" if b else f"{'':>8}"
         verdict = ""
-        if metric in EXACT and c != b:
-            regressions.append((name, f"{b:.17g} -> {c:.17g}, must be equal"))
-            verdict = "  CHANGED"
-        elif metric in HOST_GATED and b > 0:
+        if metric in EXACT:
+            values = sorted({run[name] for run in base_runs + cur_runs
+                             if name in run})
+            if len(values) > 1:
+                regressions.append((name, "differs between runs: " +
+                                    ", ".join(f"{v:.17g}" for v in values) +
+                                    "; must be equal"))
+                verdict = "  CHANGED"
+        elif metric in HOST_GATED:
             bound = bounds[metric]
-            if c > b * (1.0 + bound):
+            if b > 0 and c > b * (1.0 + bound):
                 regressions.append((name, f"{(c / b - 1.0) * 100.0:+.1f}% "
                                           f"(bound {bound * 100.0:g}%)"))
                 verdict = "  REGRESSED"
-        elif metric not in EXACT + HOST_GATED:
+        else:
             verdict = "  (not gated)"
         print(f"{name:<36} {b:>14.6g} {c:>14.6g} {delta}{verdict}")
     for name in sorted(set(cur) - set(base)):
@@ -209,41 +233,63 @@ def compare_metrics(base, cur):
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("baseline")
-    p.add_argument("current")
+    p.add_argument("pair", nargs="*", metavar="BASELINE CURRENT",
+                   help="one baseline file and one current file")
+    p.add_argument("--baseline", nargs="+", default=[],
+                   help="baseline perfbench results (several runs)")
+    p.add_argument("--current", nargs="+", default=[],
+                   help="current perfbench results (several runs)")
     p.add_argument("--threshold", type=float, default=10.0,
                    help="percent slowdown that fails a google-benchmark "
                         "comparison (default 10); perfbench results use "
                         "the BENCHMARK.json bounds")
     args = p.parse_args()
-
-    base_doc = read_json(args.baseline, missing_ok=True)
-    cur_doc = read_json(args.current)
-    if base_doc is not None and is_perfbench(base_doc) != is_perfbench(cur_doc):
-        fail_input(f"{args.baseline} and {args.current} are not the same "
-                   f"kind of result (google-benchmark vs perfbench)")
-
-    if is_perfbench(cur_doc):
-        cur = load_metrics(args.current, cur_doc)
-        base = load_metrics(args.baseline, base_doc) if base_doc else None
+    if args.pair and (args.baseline or args.current):
+        p.error("give BASELINE CURRENT or --baseline/--current, not both")
+    if args.pair:
+        if len(args.pair) != 2:
+            p.error("expected exactly two files: BASELINE CURRENT")
+        base_paths, cur_paths = [args.pair[0]], [args.pair[1]]
     else:
-        cur = load_benchmarks(args.current, cur_doc)
-        base = load_benchmarks(args.baseline, base_doc) if base_doc else None
-    if not base:
-        # A cold baseline cache (first run on a branch) must not fail CI.
-        print(f"no usable baseline at {args.baseline}; nothing to gate")
-        return 0
-    if not cur:
-        fail_input(f"no benchmarks in {args.current}")
+        if not args.baseline or not args.current:
+            p.error("--baseline and --current both need at least one file")
+        base_paths, cur_paths = args.baseline, args.current
 
-    if is_perfbench(cur_doc):
-        regressions = compare_metrics(base, cur)
-        if cur_doc.get("correct") is False:
-            regressions.append(("correct", "the current run reported a "
-                                           "wrong result"))
+    cur_docs = [(path, read_json(path)) for path in cur_paths]
+    base_docs = [(path, doc) for path in base_paths
+                 if (doc := read_json(path, missing_ok=True)) is not None]
+    perfbench = is_perfbench(cur_docs[0][1])
+    for path, doc in base_docs + cur_docs:
+        if is_perfbench(doc) != perfbench:
+            fail_input(f"{path} and {cur_docs[0][0]} are not the same kind "
+                       f"of result (google-benchmark vs perfbench)")
+    if not perfbench and (len(base_paths) > 1 or len(cur_paths) > 1):
+        fail_input("several files per side are read only for perfbench "
+                   "results")
+
+    load = load_metrics if perfbench else load_benchmarks
+    cur_runs = [load(path, doc) for path, doc in cur_docs]
+    base_runs = [run for run in (load(path, doc) for path, doc in base_docs)
+                 if run]
+    if not base_runs:
+        # A cold baseline cache (first run on a branch) must not fail CI.
+        print(f"no usable baseline at {', '.join(base_paths)}; "
+              f"nothing to gate")
+        return 0
+    for (path, _), run in zip(cur_docs, cur_runs):
+        if not run:
+            fail_input(f"no benchmarks in {path}")
+
+    if perfbench:
+        regressions = compare_metrics(base_runs, cur_runs)
+        for path, doc in cur_docs:
+            if doc.get("correct") is False:
+                regressions.append((path, "the current run reported a "
+                                          "wrong result"))
         what = "perfbench metric(s) regressed"
     else:
-        regressions = compare_benchmarks(base, cur, args.threshold)
+        regressions = compare_benchmarks(base_runs[0], cur_runs[0],
+                                         args.threshold)
         what = (f"benchmark(s) regressed more than {args.threshold:g}% in "
                 f"host wall time")
 

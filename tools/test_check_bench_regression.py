@@ -68,6 +68,18 @@ class CheckBenchRegressionTest(unittest.TestCase):
                               capture_output=True, text=True)
         return proc.returncode, proc.stdout + proc.stderr
 
+    def gate_runs(self, base_runs, cur_runs):
+        """Runs the gate with several result files per side."""
+        args = ["--baseline"]
+        args += [self.write(f"base{i}.json", doc)
+                 for i, doc in enumerate(base_runs)]
+        args += ["--current"]
+        args += [self.write(f"cur{i}.json", doc)
+                 for i, doc in enumerate(cur_runs)]
+        proc = subprocess.run([sys.executable, TOOL, *args],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout + proc.stderr
+
     def perturbed(self, metric, scale=1.0, add=0):
         doc = copy.deepcopy(perfbench_all())
         m = doc["metrics"][metric]
@@ -127,6 +139,39 @@ class CheckBenchRegressionTest(unittest.TestCase):
         cur["metrics"]["wall_s"]["value"] = 2.6
         code, out = self.gate(base, cur)
         self.assertEqual(code, 1, out)
+
+    def test_one_outlier_among_three_runs_passes(self):
+        # One current run caught a slow host phase; the median did not.
+        base = [perfbench_all()] * 3
+        cur = [perfbench_all(), self.perturbed("paper-grid.wall_s", 1.6),
+               self.perturbed("paper-grid.wall_s", 1.05)]
+        code, out = self.gate_runs(base, cur)
+        self.assertEqual(code, 0, out)
+
+    def test_consistent_wall_time_up_30_percent_fails(self):
+        base = [perfbench_all(), self.perturbed("serve-mix.wall_s", 0.95),
+                self.perturbed("serve-mix.wall_s", 1.05)]
+        cur = [self.perturbed("serve-mix.wall_s", 1.3)] * 3
+        code, out = self.gate_runs(base, cur)
+        self.assertEqual(code, 1, out)
+        self.assertIn("serve-mix.wall_s", out)
+
+    def test_simulated_totals_must_match_in_every_run(self):
+        base = [perfbench_all()] * 3
+        cur = [perfbench_all(), perfbench_all(),
+               self.perturbed("cache-churn.sim_compile_cycles", add=1)]
+        code, out = self.gate_runs(base, cur)
+        self.assertEqual(code, 1, out)
+        self.assertIn("cache-churn.sim_compile_cycles", out)
+
+    def test_missing_baseline_runs_pass(self):
+        missing = [os.path.join(self.dir.name, f"gone{i}.json")
+                   for i in range(3)]
+        cur = [self.write(f"cur{i}.json", perfbench_all()) for i in range(3)]
+        proc = subprocess.run([sys.executable, TOOL, "--baseline", *missing,
+                               "--current", *cur],
+                              capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
     def test_missing_baseline_passes(self):
         code, out = self.gate(None, perfbench_all())
