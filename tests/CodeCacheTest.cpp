@@ -521,7 +521,7 @@ TEST(CodeCacheIndexTest, VictimsMatchAScanOfEveryVariant) {
           const bool WasEvicted = V.Evicted;
           const bool Reclaimable = WasEvicted || !Pinned(V);
           ASSERT_EQ(Code.evictNow(V), Reclaimable) << "step " << K;
-          EXPECT_TRUE(V.Evicted == Reclaimable);
+          EXPECT_EQ(V.Evicted, Reclaimable);
           const auto Events = EvictedSince();
           ASSERT_EQ(Events.size(), Reclaimable && !WasEvicted ? 1u : 0u);
           ForcedEvictions += static_cast<unsigned>(Events.size());
